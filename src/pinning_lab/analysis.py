@@ -269,8 +269,8 @@ def _batched_z(spec: ct.ChaosSpec, increments: np.ndarray,
                chunk: int = 250) -> np.ndarray:
     """z_point_batch over (0, T) in replica chunks.
 
-    Small chunks keep the running coefficient block in cache; at M = 4096
-    the recursion is ~2x faster at chunk 250 than at 2500."""
+    Chunk size matters little to the blocked solver: at M = 4096, 2500
+    replicas took 1.9-2.2 s in chunks of 250 and 1.6-1.8 s in one chunk."""
     out = []
     for i in range(0, increments.shape[0], chunk):
         out.append(ct.z_point_batch(spec, increments[i:i + chunk],
@@ -400,6 +400,7 @@ def experiment_convergence(config: ConvergenceConfig | None = None,
             tau = sampler.sample(rng)
             gs[i] = cs.g_map(tau, t_site) / n_top
         rep.estimates["g_mean"] = float(gs.mean())
+        rep.estimates["pinned_underflows"] = int(sampler.underflow)
         _pinned_g_tests(rep, cfg, rf, gs)
         rep.wall_clock = time.perf_counter() - t0
         return rep
@@ -448,10 +449,13 @@ def experiment_convergence(config: ConvergenceConfig | None = None,
         scale = dp.scale_couplings(cfg.beta_hat, cfg.h_hat, n_top, kernel)
         g_d = np.empty(cfg.fdd_replicas)
         d_d = np.empty(cfg.fdd_replicas)
+        rep.estimates["pinned_underflows"] = 0
         for i in range(cfg.fdd_replicas):
             dis = dp.sample_disorder(cfg.disorder, n_top - 1, rng_f)
-            tau = dp.sample_pinned(kernel, dis, scale.beta_N, scale.h_N,
-                                   n_top, rng_f)
+            smp = dp.build_pinned_sampler(kernel, dis, scale.beta_N,
+                                          scale.h_N, n_top)
+            rep.estimates["pinned_underflows"] += smp.underflow
+            tau = smp.sample(rng_f)
             g_d[i] = cs.g_map(tau, cfg.t1 * n_top) / n_top
             d_d[i] = cs.d_map(tau, cfg.t1 * n_top) / n_top
         g_c = np.empty(cfg.fdd_replicas)
@@ -507,6 +511,7 @@ def experiment_averaged_abs_continuity(config: AveragedConfig | None = None,
     xs = np.empty((cfg.w_replicas, cfg.draws))
     ys = np.empty((cfg.w_replicas, cfg.draws))
     w = np.empty(cfg.w_replicas)
+    rep.estimates["unstable_tables"] = 0
     for i in range(cfg.w_replicas):
         path = ct.sample_brownian(cfg.T, cfg.M, rng)
         ze = ct.ZEvaluator(spec, path)
@@ -514,6 +519,7 @@ def experiment_averaged_abs_continuity(config: AveragedConfig | None = None,
         if cfg.h_hat != 0.0:
             w[i] *= ct.girsanov_tilt(path, cfg.beta_hat, cfg.h_hat)
         sampler = ct.CdpmFddSampler(ze, cfg.t1, grid=cfg.grid)
+        rep.estimates["unstable_tables"] += not sampler.stable
         pairs = sampler.sample(cfg.draws, rng)
         xs[i], ys[i] = pairs[:, 0], pairs[:, 1]
     xe, Fx, ye, Fy = _marginal_cdf_tables(cfg.alpha, cfg.T, cfg.t1)

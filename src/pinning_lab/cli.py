@@ -313,11 +313,12 @@ def run(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (rn.KernelError, ValueError) as e:
+    except (rn.KernelError, ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     payload = {"subcommand": args.subcommand, "seed": args.seed,
-               "threads": threads, **payload}
+               "threads": threads,
+               "threads_applied": threadpool_limits is not None, **payload}
     report_path = _write_report(args.out, args.subcommand, payload)
     for name, header, rows in dumps:
         _write_rows(args.out, name, header, rows)

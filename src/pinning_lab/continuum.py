@@ -20,6 +20,7 @@ from scipy.signal import fftconvolve
 
 from pinning_lab.closed_sets import ClosedSetR, dyadic_blocks
 from pinning_lab.renewal import stable_constant
+from pinning_lab.volterra import renewal_solve_batch
 
 
 @dataclass(frozen=True)
@@ -191,9 +192,9 @@ def z_point_batch(spec: ChaosSpec, increments: np.ndarray,
                   s: float, t: float) -> np.ndarray:
     """Z(s, t) for many independent paths at once.
 
-    increments has shape (R, M); the cell recursion runs once with the
-    replica axis pushed into BLAS matrix-vector products. Off-grid ends
-    follow the nearest-grid-point rule of _z_eval.
+    increments has shape (R, M); one renewal_solve_batch call runs the cell
+    recursion for all of them. Off-grid ends follow the nearest-grid-point
+    rule of _z_eval.
     """
     delta = spec.T / spec.M
     s, i0 = _snap(s, delta)
@@ -208,10 +209,7 @@ def z_point_batch(spec: ChaosSpec, increments: np.ndarray,
     edges = delta * np.arange(i0, i1 + 1)
     kg = _gap_factors(spec.alpha, delta, n)
     ef = _edge_factors(spec.alpha, s, edges, delta, with_c=True)
-    A = np.empty((n, R))
-    for j in range(n):
-        acc = ef[j] if j == 0 else ef[j] + kg[j:0:-1] @ A[:j]
-        A[j] = c[j] * acc
+    A = renewal_solve_batch(kg, ef, c)
     if spec.variant == "free":
         return 1.0 + A.sum(axis=0)
     tf = _terminal_factors(spec.alpha, t, edges, delta)
@@ -554,9 +552,9 @@ class CdpmFddSampler:
     integrated cell by cell on grids graded toward the singular edges: the
     (y - x) factor by its exact closed-form double integral, the boundary
     power factors by exact single integrals, the smooth Z profiles at cell
-    midpoints. The table doubles its resolution until the total mass
-    stabilizes within 1e-6. Draws pick a cell categorically, then the point
-    inside the cell from the dominant local power factor.
+    midpoints. The table doubles at most twice, until its total mass is
+    stable to 1e-6 (`stable`). Draws pick a cell categorically, then the
+    point inside the cell from the dominant local power factor.
     """
 
     def __init__(self, zeval: ZEvaluator, t1: float, grid: int = 512):
@@ -572,6 +570,7 @@ class CdpmFddSampler:
             masses, xe, ye, total = m2, xe2, ye2, m2.sum()
             if stable:
                 break
+        self.stable = bool(stable)
         # roundoff in the cancelling double-integral differences can leave
         # tiny negative cell masses; they carry no probability
         flat = np.clip(masses.ravel(), 0.0, None)

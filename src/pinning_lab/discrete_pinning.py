@@ -17,6 +17,7 @@ import numpy as np
 
 from pinning_lab.closed_sets import ClosedSetR
 from pinning_lab.renewal import KernelError, RenewalFunction, RenewalKernel
+from pinning_lab.volterra import renewal_solve_batch
 
 
 def lambda_of(distribution: str, t):
@@ -117,7 +118,7 @@ def partition_dp(kernel: RenewalKernel, rf: RenewalFunction,
 
     W(a, j) = K(j-a) + sum_{i in (a,j)} W(a, i) w_i K(j-i), with w the
     interior site weights; Z = W(a, b) / u(b - a). Falls back to a log-domain
-    recursion when the weights overflow.
+    recursion when the weights overflow; raises OverflowError when Z does.
     """
     if not 0 <= a <= b:
         raise ValueError("need 0 <= a <= b")
@@ -128,18 +129,22 @@ def partition_dp(kernel: RenewalKernel, rf: RenewalFunction,
         return 1.0
     arg = beta * disorder.omega[a:b - 1] - disorder.lam(beta) + h
     if np.max(arg, initial=0.0) > 500.0:
-        return float(np.exp(_log_partition_dp(kernel, rf, arg)))
-    w = np.exp(arg)  # w[i-a-1] is the weight of site i
-    W = np.empty(n + 1)
-    W[0] = 0.0
-    for j in range(1, n + 1):
-        m = min(j, kernel.n_max)
-        s = kernel.k[j] if j <= kernel.n_max else 0.0
-        if j > 1:
-            s += np.dot(W[max(j - m, 1):j] * w[max(j - m, 1) - 1:j - 1],
-                        kernel.k[min(j - 1, m):0:-1])
-        W[j] = s
-    return float(W[n] / rf.u[n])
+        z = float(np.exp(_log_partition_dp(kernel, rf, arg)))
+    else:
+        w = np.exp(arg)  # w[i-a-1] is the weight of site i
+        W = np.empty(n + 1)
+        W[0] = 0.0
+        for j in range(1, n + 1):
+            m = min(j, kernel.n_max)
+            s = kernel.k[j] if j <= kernel.n_max else 0.0
+            if j > 1:
+                s += np.dot(W[max(j - m, 1):j] * w[max(j - m, 1) - 1:j - 1],
+                            kernel.k[min(j - 1, m):0:-1])
+            W[j] = s
+        z = float(W[n] / rf.u[n])
+    if not np.isfinite(z):
+        raise OverflowError(f"Z not finite at N={n}, beta={beta}, h={h}")
+    return z
 
 
 def _log_partition_dp(kernel: RenewalKernel, rf: RenewalFunction,
@@ -167,8 +172,8 @@ def partition_dp_batch(kernel: RenewalKernel, rf: RenewalFunction,
                        beta: float, h: float, N: int) -> np.ndarray:
     """Z(0, N) for many disorder replicas at once.
 
-    omegas has shape (R, N-1); the recursion runs index by index with the
-    replica dimension handled by BLAS matrix-vector products.
+    omegas has shape (R, N-1). x[j-1] = W(0, j) w_j (no weight at N) solves
+    the renewal recursion with forcing K(j); OverflowError if Z overflows.
     """
     R = omegas.shape[0]
     if omegas.shape[1] < N - 1:
@@ -177,23 +182,13 @@ def partition_dp_batch(kernel: RenewalKernel, rf: RenewalFunction,
         raise KernelError("u(N) unavailable or zero")
     if N <= 1:
         return np.ones(R)
+    k = np.pad(kernel.k[:N + 1], (0, max(0, N - kernel.n_max)))
     lam = lambda_of(distribution, beta)
-    w = np.exp(beta * omegas[:, :N - 1] - lam + h)  # (R, N-1)
-    # WW[:, j] accumulates W(0, j) weighted by the site factor at j
-    W = np.zeros((N + 1, R))
-    k = kernel.k
-    kmax = kernel.n_max
-    for j in range(1, N + 1):
-        m = min(j - 1, kmax)
-        val = k[j] if j <= kmax else 0.0
-        if m >= 1:
-            kv = k[m:0:-1]  # K(j-i) for i = j-m .. j-1
-            val = val + kv @ W[j - m:j]
-        if j < N:
-            W[j] = val * w[:, j - 1]
-        else:
-            W[j] = val
-    return W[N] / rf.u[N]
+    w = np.exp(np.pad(beta * omegas[:, :N - 1].T - lam + h, ((0, 1), (0, 0))))
+    z = renewal_solve_batch(k, k[1:], w)[-1] / rf.u[N]
+    if not np.all(np.isfinite(z)):
+        raise OverflowError(f"Z not finite at N={N}, beta={beta}, h={h}")
+    return z
 
 
 @dataclass(frozen=True)
@@ -280,12 +275,6 @@ def xi_vars(disorder: DisorderField, beta: float, h: float) -> np.ndarray:
     """xi_i = exp(beta omega_i - Lambda(beta) + h) - 1, the centered-ish
     multilinear variables of the chaos rewriting."""
     return np.exp(beta * disorder.omega - disorder.lam(beta) + h) - 1.0
-
-
-def zeta_vars(disorder: DisorderField, beta: float, h: float,
-              beta_n: float) -> np.ndarray:
-    """xi normalized by the coupling scale, for moment diagnostics."""
-    return xi_vars(disorder, beta, h) / beta_n
 
 
 def chaos_expansion_exact(kernel: RenewalKernel, rf: RenewalFunction,

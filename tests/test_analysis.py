@@ -176,6 +176,13 @@ class TestExperimentsSmall:
                    if isinstance(v, float))
         assert rep.wall_clock > 0
 
+    def test_health_counters(self):
+        rep = an.experiment_convergence(SMALL["convergence"], seed=4)
+        assert rep.estimates["pinned_underflows"] == 0
+        cfg = SMALL["averaged-abs-continuity"]
+        rep = an.experiment_averaged_abs_continuity(cfg, seed=4)
+        assert 0 <= rep.estimates["unstable_tables"] <= cfg.w_replicas
+
     def test_byte_identical_rerun(self):
         cfg_cls, fn = an.EXPERIMENTS["averaged-abs-continuity"]
         cfg = SMALL["averaged-abs-continuity"]
@@ -196,3 +203,4 @@ class TestExperimentsSmall:
         rep = an.experiment_convergence(cfg, seed=4)
         assert "pinned_g_ks" in rep.verdicts
         assert 0.0 < rep.estimates["g_mean"] < 1.0
+        assert rep.estimates["pinned_underflows"] == 0

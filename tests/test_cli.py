@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
@@ -51,6 +52,15 @@ class TestPlumbing:
         monkeypatch.delenv("PINNING_LAB_THREADS")
         assert cli._resolve_threads(None) == 1
 
+    def test_threads_not_applied_without_threadpoolctl(self, tmp_path,
+                                                      capsys, monkeypatch):
+        # a None entry in sys.modules makes the import raise ImportError
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        assert _run(tmp_path, "--threads", "2", "partition", "--N", "2") == 0
+        capsys.readouterr()
+        rep = _report(tmp_path, "partition")
+        assert rep["threads"] == 2 and rep["threads_applied"] is False
+
 
 class TestPartition:
 
@@ -69,6 +79,12 @@ class TestPartition:
         capsys.readouterr()
         assert code == 0
         assert _report(tmp_path, "partition")["Z"] > 0
+
+    def test_overflow_is_an_error(self, tmp_path, capsys):
+        code = _run(tmp_path, "partition", "--N", "64", "--beta", "0.5",
+                    "--h", "600")
+        assert code == 1
+        assert "not finite" in capsys.readouterr().err
 
 
 class TestSamplers:

@@ -348,6 +348,14 @@ class TestCdpmFdd:
         m, _, _ = ct._cdpm_cell_masses(ze, 0.4, 512)
         assert m.sum() == pytest.approx(ze.z0T(), rel=2e-3)
 
+    def test_table_stability_flag(self, spec, path, monkeypatch):
+        ze = ct.ZEvaluator(spec, path)
+        # the 128-cell table still moves by more than 1e-6 at 512 cells
+        assert ct.CdpmFddSampler(ze, 0.4, grid=128).stable is False
+        table = ct._cdpm_cell_masses(ze, 0.4, 128)
+        monkeypatch.setattr(ct, "_cdpm_cell_masses", lambda *a: table)
+        assert ct.CdpmFddSampler(ze, 0.4, grid=128).stable is True
+
     def test_sampler_support(self, spec, path):
         ze = ct.ZEvaluator(spec, path)
         pairs = ct.sample_cdpm_fdd(ze, 0.4, stream(8), n=200, grid=128)

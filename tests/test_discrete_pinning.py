@@ -116,6 +116,20 @@ class TestPartitionDP:
         expect = (k1 ** 2 * np.exp(lw) + k2) / (k1 ** 2 + k2)
         assert z == pytest.approx(expect, rel=1e-10)
 
+    def test_overflow_raises(self, kernel, rf):
+        # Z at h = 600 exceeds the largest double; both DPs say so
+        omegas = stream(10).standard_normal((3, 63))
+        with pytest.raises(OverflowError, match="N=64, beta=0.5, h=600"):
+            dp.partition_dp_batch(kernel, rf, omegas, "standard-normal",
+                                  0.5, 600.0, 64)
+        d = dp.DisorderField(omegas[0], "standard-normal")
+        with pytest.raises(OverflowError, match="N=64, beta=0.5, h=600"):
+            dp.partition_dp(kernel, rf, d, 0.5, 600.0, 0, 64)
+        # no single site weight is large here; the sum overflows over sites
+        d = dp.sample_disorder("standard-normal", 2047, stream(11))
+        with pytest.raises(OverflowError, match="N=2048, beta=0.5, h=1"):
+            dp.partition_dp(kernel, rf, d, 0.5, 1.0, 0, 2048)
+
     def test_batch_matches_scalar(self, kernel, rf):
         rng = stream(9)
         R, N = 5, 64
