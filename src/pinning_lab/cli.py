@@ -82,10 +82,14 @@ def _write_rows(out_dir: str, name: str, header: list[str], rows) -> Path:
 def _cmd_sample_renewal(args, seed):
     kernel = rn.power_law_kernel(args.alpha, args.n)
     rng = stream(seed, 0)
+    if args.conditioned:  # the pinned law at zero coupling
+        free = dp.DisorderField(np.zeros(args.n - 1), "standard-normal")
+        smp = dp.build_pinned_sampler(kernel, free, 0.0, 0.0, args.n)
     lengths = []
     rows = []
     for i in range(args.samples):
-        pts = rn.sample_renewal(kernel, args.n, args.conditioned, rng)
+        pts = (smp.sample(rng).points.astype(np.int64) if args.conditioned
+               else rn.sample_renewal(kernel, args.n, rng))
         lengths.append(len(pts))
         rows.extend((i, p) for p in pts)
     payload = {"n": args.n, "alpha": args.alpha,

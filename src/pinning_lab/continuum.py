@@ -196,6 +196,8 @@ def z_point_batch(spec: ChaosSpec, increments: np.ndarray,
     recursion for all of them. Off-grid ends follow the nearest-grid-point
     rule of _z_eval.
     """
+    if not 0.0 <= s <= t <= spec.T + 1e-12:
+        raise ValueError("need 0 <= s <= t <= T")
     delta = spec.T / spec.M
     s, i0 = _snap(s, delta)
     t, i1 = _snap(t, delta)
@@ -209,7 +211,8 @@ def z_point_batch(spec: ChaosSpec, increments: np.ndarray,
     edges = delta * np.arange(i0, i1 + 1)
     kg = _gap_factors(spec.alpha, delta, n)
     ef = _edge_factors(spec.alpha, s, edges, delta, with_c=True)
-    A = renewal_solve_batch(kg, ef, c)
+    A, e = renewal_solve_batch(kg, ef, c)
+    A = np.ldexp(A, e)
     if spec.variant == "free":
         return 1.0 + A.sum(axis=0)
     tf = _terminal_factors(spec.alpha, t, edges, delta)

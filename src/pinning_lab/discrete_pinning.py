@@ -11,7 +11,7 @@ conditioned Gibbs measure exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,68 +103,35 @@ def scale_couplings(beta_hat: float, h_hat: float, N: int,
 # partition functions
 
 
-def _site_weights(disorder: DisorderField, beta: float, h: float) -> np.ndarray:
-    """w[i] = exp(beta omega_i - Lambda(beta) + h), 1-indexed via w[0]=nan."""
-    w = np.empty(disorder.n_sites + 1)
-    w[0] = np.nan
-    w[1:] = np.exp(beta * disorder.omega - disorder.lam(beta) + h)
-    return w
+def _transfer(kernel: RenewalKernel, arg: np.ndarray, beta: float,
+              h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weighted renewal recursion over N - 1 sites for R replicas.
+
+    arg (N-1, R) holds the site exponents in the order of the recursion.
+    Returns (k, x, e) with k = K(0..N), zero past the kernel's table, and
+    x[j-1] 2**e[j-1] = W(j) w_j for j = 1..N, where W(j) = K(j) +
+    sum_{i<j} W(i) w_i K(j-i) and the last site carries w = 1.
+    """
+    N = arg.shape[0] + 1
+    with np.errstate(over="ignore"):
+        w = np.exp(arg)
+    if np.isinf(w).any():
+        raise OverflowError(
+            f"site weight not finite at N={N}, beta={beta}, h={h}")
+    k = np.pad(kernel.k[:N + 1], (0, max(0, N - kernel.n_max)))
+    x, e = renewal_solve_batch(k, k[1:], np.vstack([w, np.ones(w.shape[1])]))
+    return k, x, e
 
 
 def partition_dp(kernel: RenewalKernel, rf: RenewalFunction,
                  disorder: DisorderField, beta: float, h: float,
                  a: int, b: int) -> float:
-    """Conditioned partition function Z(a, b), exactly.
-
-    W(a, j) = K(j-a) + sum_{i in (a,j)} W(a, i) w_i K(j-i), with w the
-    interior site weights; Z = W(a, b) / u(b - a). Falls back to a log-domain
-    recursion when the weights overflow; raises OverflowError when Z does.
-    """
+    """Conditioned partition function Z(a, b), exactly: partition_dp_batch
+    for one replica whose sites are a+1..b-1."""
     if not 0 <= a <= b:
         raise ValueError("need 0 <= a <= b")
-    n = b - a
-    if n > rf.n_max or rf.u[n] <= 0:
-        raise KernelError("u(b - a) unavailable or zero")
-    if n <= 1:
-        return 1.0
-    arg = beta * disorder.omega[a:b - 1] - disorder.lam(beta) + h
-    if np.max(arg, initial=0.0) > 500.0:
-        z = float(np.exp(_log_partition_dp(kernel, rf, arg)))
-    else:
-        w = np.exp(arg)  # w[i-a-1] is the weight of site i
-        W = np.empty(n + 1)
-        W[0] = 0.0
-        for j in range(1, n + 1):
-            m = min(j, kernel.n_max)
-            s = kernel.k[j] if j <= kernel.n_max else 0.0
-            if j > 1:
-                s += np.dot(W[max(j - m, 1):j] * w[max(j - m, 1) - 1:j - 1],
-                            kernel.k[min(j - 1, m):0:-1])
-            W[j] = s
-        z = float(W[n] / rf.u[n])
-    if not np.isfinite(z):
-        raise OverflowError(f"Z not finite at N={n}, beta={beta}, h={h}")
-    return z
-
-
-def _log_partition_dp(kernel: RenewalKernel, rf: RenewalFunction,
-                      arg: np.ndarray) -> float:
-    """log Z via logsumexp accumulation; arg holds the interior site
-    exponents for sites a+1..b-1."""
-    n = len(arg) + 1
-    logk = np.full(n + 1, -np.inf)
-    m = min(n, kernel.n_max)
-    with np.errstate(divide="ignore"):
-        logk[1:m + 1] = np.log(kernel.k[1:m + 1])
-    logW = np.full(n + 1, -np.inf)
-    for j in range(1, n + 1):
-        terms = [logk[j]]
-        if j > 1:
-            t = logW[1:j] + arg[:j - 1] + logk[j - 1:0:-1]
-            terms.append(np.max(t) + np.log(np.sum(np.exp(t - np.max(t)))))
-        hi = max(terms)
-        logW[j] = hi + np.log(sum(np.exp(x - hi) for x in terms))
-    return logW[n] - np.log(rf.u[n])
+    return float(partition_dp_batch(kernel, rf, disorder.omega[None, a:b - 1],
+                                    disorder.distribution, beta, h, b - a)[0])
 
 
 def partition_dp_batch(kernel: RenewalKernel, rf: RenewalFunction,
@@ -172,8 +139,9 @@ def partition_dp_batch(kernel: RenewalKernel, rf: RenewalFunction,
                        beta: float, h: float, N: int) -> np.ndarray:
     """Z(0, N) for many disorder replicas at once.
 
-    omegas has shape (R, N-1). x[j-1] = W(0, j) w_j (no weight at N) solves
-    the renewal recursion with forcing K(j); OverflowError if Z overflows.
+    omegas has shape (R, N-1). W(0, j) w_j (no weight at N) solves the
+    renewal recursion with forcing K(j), and Z = W(0, N) / u(N);
+    OverflowError if a site weight or Z overflows.
     """
     R = omegas.shape[0]
     if omegas.shape[1] < N - 1:
@@ -182,89 +150,13 @@ def partition_dp_batch(kernel: RenewalKernel, rf: RenewalFunction,
         raise KernelError("u(N) unavailable or zero")
     if N <= 1:
         return np.ones(R)
-    k = np.pad(kernel.k[:N + 1], (0, max(0, N - kernel.n_max)))
     lam = lambda_of(distribution, beta)
-    w = np.exp(np.pad(beta * omegas[:, :N - 1].T - lam + h, ((0, 1), (0, 0))))
-    z = renewal_solve_batch(k, k[1:], w)[-1] / rf.u[N]
+    _, x, e = _transfer(kernel, beta * omegas[:, :N - 1].T - lam + h, beta, h)
+    with np.errstate(over="ignore"):
+        z = np.ldexp(x[-1], e[-1]) / rf.u[N]
     if not np.all(np.isfinite(z)):
         raise OverflowError(f"Z not finite at N={N}, beta={beta}, h={h}")
     return z
-
-
-@dataclass(frozen=True)
-class DiscreteZSurface:
-    """Z(a, b) on anchor pairs 0 <= a <= b <= N, with triangular-bisection
-    linear interpolation between integer anchors."""
-
-    N: int
-    anchors: np.ndarray  # (n_anchor, 2) int pairs
-    values: np.ndarray
-    interpolation: str = "triangular-bisection-linear"
-
-    def lookup(self) -> dict[tuple[int, int], float]:
-        return {(int(a), int(b)): float(v)
-                for (a, b), v in zip(self.anchors, self.values)}
-
-    def interpolate(self, s: float, t: float) -> float:
-        """Value at real (s, t), each unit square split along its main
-        diagonal into two linear pieces."""
-        table = self.lookup()
-
-        def zat(a, b):
-            if b <= a:
-                return 1.0
-            try:
-                return table[(a, b)]
-            except KeyError:
-                raise ValueError(f"anchor ({a},{b}) not tabulated") from None
-
-        a, b = int(np.floor(s)), int(np.floor(t))
-        fs, ft = s - a, t - b
-        if fs == 0.0 and ft == 0.0:
-            return zat(a, b)
-        if fs >= ft:  # triangle (a,b), (a+1,b), (a+1,b+1)
-            return ((1 - fs) * zat(a, b) + (fs - ft) * zat(a + 1, b)
-                    + ft * zat(a + 1, b + 1))
-        return ((1 - ft) * zat(a, b) + (ft - fs) * zat(a, b + 1)
-                + fs * zat(a + 1, b + 1))
-
-
-def partition_surface(kernel: RenewalKernel, rf: RenewalFunction,
-                      disorder: DisorderField, beta: float, h: float,
-                      N: int, anchors) -> DiscreteZSurface:
-    """Z at every requested anchor pair, sharing the forward recursion
-    prefix across all b for a fixed a."""
-    anchors = np.asarray(anchors, dtype=int)
-    if np.any(anchors < 0) or np.any(anchors[:, 1] > N):
-        raise ValueError("anchors must lie in {0..N}")
-    if np.any(anchors[:, 0] > anchors[:, 1]):
-        raise ValueError("anchors need a <= b")
-    w = _site_weights(disorder, beta, h)
-    values = np.empty(len(anchors))
-    k, kmax = kernel.k, kernel.n_max
-    for a in np.unique(anchors[:, 0]):
-        sel = anchors[:, 0] == a
-        bmax = int(anchors[sel, 1].max())
-        n = bmax - a
-        W = np.zeros(n + 1)
-        for j in range(1, n + 1):
-            m = min(j - 1, kmax)
-            s = k[j] if j <= kmax else 0.0
-            if m >= 1:
-                # W[i] already carries its own site weight
-                s += np.dot(W[j - m:j], k[m:0:-1])
-            # store W weighted at its own site so longer b reuse it; the
-            # weight is divided back out when j is read as an endpoint
-            W[j] = s * (w[a + j] if a + j < len(w) else 1.0)
-        for idx in np.flatnonzero(sel):
-            b = int(anchors[idx, 1])
-            d = b - a
-            if d <= 1:
-                values[idx] = 1.0
-                continue
-            site = w[b] if b < len(w) else 1.0
-            values[idx] = (W[d] / site) / rf.u[d]
-    return DiscreteZSurface(N=N, anchors=anchors, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -326,58 +218,58 @@ def chaos_expansion_exact(kernel: RenewalKernel, rf: RenewalFunction,
 class PinnedSampler:
     """Sequential sampler for the conditioned pinning Gibbs measure.
 
-    V[j] is the weighted partition mass from j to N (interior sites carry
-    their Gibbs weight, the endpoint N does not), accumulated in the log
-    domain so large couplings cannot overflow. Transition law from i:
-    P(next = j) proportional to K(j-i) w_j^{1(j<N)} V(j).
+    V(j) is the weighted partition mass from j to N: interior sites carry
+    their Gibbs weight w, the endpoint N does not. mass[m] 2**exp2[m] is
+    w_j V(j) at j = N - m, with w_0 = w_N = 1, from one backward solve.
+    The transition law from i is P(next = j) proportional to K(j-i) w_j V(j),
+    normalized by V(i); its CDF is built when a draw first visits i, then
+    kept. underflow is set when some point i < N has w_i V(i) = 0 in
+    floating point; such a point is never visited, and if it is 0 itself,
+    sample raises FloatingPointError.
     """
 
     N: int
-    log_cdf: np.ndarray  # (N, N+1); row i = transition CDF from point i
+    k: np.ndarray  # K(0..N)
+    mass: np.ndarray
+    exp2: np.ndarray
     underflow: bool
+    rows: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def row(self, i: int) -> np.ndarray:
+        """CDF of the next point over j = i+1..N."""
+        cdf = self.rows.get(i)
+        if cdf is None:
+            top = self.N - i - 1  # m = N - j runs from top down to 0
+            cdf = np.cumsum(self.k[1:top + 2] * np.ldexp(
+                self.mass[top::-1], self.exp2[top::-1] - self.exp2[top]))
+            if not cdf[-1] > 0:
+                raise FloatingPointError(f"zero backward mass at point {i}")
+            cdf /= cdf[-1]
+            self.rows[i] = cdf
+        return cdf
 
     def sample(self, rng: np.random.Generator) -> ClosedSetR:
         pts = [0]
-        pos = 0
-        while pos < self.N:
-            row = self.log_cdf[pos]
-            j = int(np.searchsorted(row[pos + 1:], rng.random())) + pos + 1
-            pts.append(j)
-            pos = j
+        while pts[-1] < self.N:
+            i = pts[-1]
+            pts.append(int(np.searchsorted(self.row(i), rng.random())) + i + 1)
         return ClosedSetR(np.array(pts, dtype=float), resolution=1.0)
 
 
 def build_pinned_sampler(kernel: RenewalKernel, disorder: DisorderField,
                          beta: float, h: float, N: int) -> PinnedSampler:
+    """The backward mass is the forward recursion run on the site weights
+    in reverse order, N-1 down to 1, with a last weight 1 for site 0."""
     if N - 1 > disorder.n_sites:
         raise ValueError("disorder field too short for horizon N")
     if N > kernel.n_max and kernel.survival[kernel.n_max] > 1e-15:
         raise KernelError("horizon exceeds the tabulated kernel range")
-    arg = np.zeros(N + 1)
-    arg[1:N] = beta * disorder.omega[:N - 1] - disorder.lam(beta) + h
-    with np.errstate(divide="ignore"):
-        logk = np.full(N + 1, -np.inf)
-        m = min(N, kernel.n_max)
-        logk[1:m + 1] = np.log(kernel.k[1:m + 1])
-    logV = np.full(N + 1, -np.inf)
-    logV[N] = 0.0
-    underflow = False
-    for j in range(N - 1, -1, -1):
-        t = logk[1:N - j + 1] + arg[j + 1:N + 1] + logV[j + 1:N + 1]
-        hi = np.max(t)
-        if not np.isfinite(hi):
-            underflow = True
-            logV[j] = -np.inf
-            continue
-        logV[j] = hi + np.log(np.sum(np.exp(t - hi)))
-    cdf = np.zeros((N, N + 1))
-    for i in range(N):
-        lw = logk[1:N - i + 1] + arg[i + 1:N + 1] + logV[i + 1:N + 1]
-        lw -= np.max(lw)
-        w = np.exp(lw)
-        c = np.cumsum(w)
-        cdf[i, i + 1:] = c / c[-1]
-    return PinnedSampler(N=N, log_cdf=cdf, underflow=underflow)
+    arg = beta * disorder.omega[:N - 1] - disorder.lam(beta) + h
+    k, x, e = _transfer(kernel, arg[::-1, None], beta, h)
+    mass = np.concatenate([[1.0], x[:, 0]])
+    return PinnedSampler(N=N, k=k, mass=mass,
+                         exp2=np.concatenate([[0], e[:, 0]]),
+                         underflow=bool(np.any(mass[1:] == 0)))
 
 
 def sample_pinned(kernel: RenewalKernel, disorder: DisorderField,

@@ -7,7 +7,7 @@ This module builds such kernels (including the return law of nearest-neighbor
 birth-death chains), computes the renewal function u(n) = P(n in tau) exactly
 by convolution, checks the classical tail asymptotics and a power-law
 smoothness condition on u, gives the exact law of the last renewal before
-t conditioned on N in tau, and samples (conditioned) renewal point sets.
+t conditioned on N in tau, and samples renewal point sets.
 """
 
 from __future__ import annotations
@@ -539,74 +539,26 @@ def conditioned_g_law(rf: RenewalFunction, N: int, t: int) -> np.ndarray:
 # sampling
 
 
-def sample_renewal(kernel: RenewalKernel, N: int, conditioned: bool,
-                   rng: np.random.Generator,
-                   rf: RenewalFunction | None = None) -> np.ndarray:
-    """Renewal point set in {0..N}, as a sorted integer array containing 0.
-
-    Unconditioned: i.i.d. gaps until the horizon is passed. Conditioned on
-    N in tau: sequential gaps with P(next = j | at i) proportional to
-    K(j-i) u(N-j), which forces N into the sample.
-    """
+def sample_renewal(kernel: RenewalKernel, N: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Renewal point set in {0..N}, as a sorted integer array containing 0:
+    i.i.d. gaps until the horizon is passed. (Conditioned on N in tau, it
+    is the pinned sampler of discrete_pinning with zero coupling.)"""
     if N > kernel.n_max and kernel.survival[kernel.n_max] > 1e-15:
         raise KernelError("horizon exceeds the tabulated kernel range")
-    if not conditioned:
-        cdf = np.cumsum(kernel.k[1:N + 1])
-        pts = [0]
-        pos = 0
-        while pos < N:
-            # a draw beyond cdf[-1] is a gap past the horizon
-            x = rng.random()
-            if x > cdf[-1]:
-                break
-            gap = int(np.searchsorted(cdf, x)) + 1
-            if pos + gap > N:
-                break
-            pos += gap
-            pts.append(pos)
-        return np.array(pts, dtype=np.int64)
-
-    if rf is None or rf.n_max < N:
-        raise KernelError("conditioned sampling needs u tabulated to N")
-    if rf.u[N] <= 0:
-        raise KernelError("u(N) = 0: cannot condition on visiting N")
-    u = rf.u
+    cdf = np.cumsum(kernel.k[1:N + 1])
     pts = [0]
     pos = 0
     while pos < N:
-        js = np.arange(pos + 1, N + 1)
-        w = kernel.k[js - pos] * u[N - js]
-        cdf = np.cumsum(w)
-        j = int(js[np.searchsorted(cdf, rng.random() * cdf[-1])])
-        pts.append(j)
-        pos = j
-    return np.array(pts, dtype=np.int64)
-
-
-def conditioned_transition_matrix(kernel: RenewalKernel,
-                                  rf: RenewalFunction, N: int) -> np.ndarray:
-    """Row i: CDF over next points j in (i, N] for the conditioned renewal
-    sampler. Precomputing it makes large replica ensembles cheap."""
-    u = rf.u
-    M = np.zeros((N, N + 1))
-    for i in range(N):
-        js = np.arange(i + 1, N + 1)
-        w = kernel.k[js - i] * u[N - js]
-        c = np.cumsum(w)
-        M[i, i + 1:] = c / c[-1]
-    return M
-
-
-def sample_renewal_fast(cdf_matrix: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Conditioned renewal sample using a precomputed transition-CDF matrix."""
-    N = cdf_matrix.shape[1] - 1
-    pts = [0]
-    pos = 0
-    while pos < N:
-        row = cdf_matrix[pos]
-        j = int(np.searchsorted(row[pos + 1:], rng.random())) + pos + 1
-        pts.append(j)
-        pos = j
+        # a draw beyond cdf[-1] is a gap past the horizon
+        x = rng.random()
+        if x > cdf[-1]:
+            break
+        gap = int(np.searchsorted(cdf, x)) + 1
+        if pos + gap > N:
+            break
+        pos += gap
+        pts.append(pos)
     return np.array(pts, dtype=np.int64)
 
 

@@ -98,6 +98,17 @@ class TestSamplers:
         assert lines[0] == "sample,site"
         assert len(lines) > 4
 
+    def test_sample_renewal_conditioned(self, tmp_path, capsys):
+        code = _run(tmp_path, "sample-renewal", "--n", "200",
+                    "--samples", "4", "--conditioned")
+        capsys.readouterr()
+        assert code == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "renewal_points.csv").read_text().splitlines()[1:]]
+        for i in range(4):
+            sites = [float(site) for sample, site in rows if float(sample) == i]
+            assert sites[0] == 0 and sites[-1] == 200
+
     def test_sample_pinning(self, tmp_path, capsys):
         code = _run(tmp_path, "sample-pinning", "--N", "128",
                     "--beta-hat", "0.5", "--samples", "2")

@@ -126,6 +126,13 @@ class TestZPoint:
         target = ct.z_second_moment_series(ALPHA, 1.0, span) - 1.0
         assert np.concatenate(z).var() == pytest.approx(target, rel=0.1)
 
+    @pytest.mark.parametrize("s, t", [(0.7, 0.5), (0.5, 1.2), (-0.2, 0.5)])
+    def test_batch_span_rejected(self, spec, path, s, t):
+        for fn in (lambda: ct._z_eval(spec, path, s, t),
+                   lambda: ct.z_point_batch(spec, path.increments[None], s, t)):
+            with pytest.raises(ValueError, match="need 0 <= s <= t <= T"):
+                fn()
+
     def test_off_grid_scalar_matches_batch(self, spec, path):
         ze = ct.ZEvaluator(spec, path)
         for s, t in ((0.1234567, 0.13), (0.3, 0.30049), (0.5, 0.7777777)):

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import zeta
 from scipy.stats import ks_2samp
 
+from pinning_lab import closed_sets as cs
 from pinning_lab import discrete_pinning as dp
 from pinning_lab import renewal as rn
 from pinning_lab.rng import stream
@@ -105,8 +106,8 @@ class TestPartitionDP:
             assert dp.partition_dp(kernel, rf, disorder, beta, -0.3, 0, 100) > 0
 
     def test_log_domain_agrees(self, kernel, rf, disorder):
-        # force the log path with a huge coupling on a short interval and
-        # compare against direct enumeration
+        # a huge coupling on a short interval against direct enumeration:
+        # the site exponent is 600 - 180,000, so the weight underflows to 0
         beta = 600.0
         om = np.array([1.0])
         d = dp.DisorderField(om, "standard-normal")
@@ -130,6 +131,31 @@ class TestPartitionDP:
         with pytest.raises(OverflowError, match="N=2048, beta=0.5, h=1"):
             dp.partition_dp(kernel, rf, d, 0.5, 1.0, 0, 2048)
 
+    def test_infinite_site_weight_raises(self, kernel, rf):
+        d = dp.DisorderField(np.zeros(15), "standard-normal")
+        with pytest.raises(OverflowError, match="site weight.*N=16, beta=0.0, h=710"):
+            dp.partition_dp(kernel, rf, d, 0.0, 710.0, 0, 16)
+        with pytest.raises(OverflowError, match="site weight"):
+            dp.build_pinned_sampler(kernel, d, 0.0, 710.0, 16)
+
+    def test_rescaled_solve_matches_chaos(self, kernel, rf):
+        # h = 40 gives blocks of 14 sites and a rescale after the first
+        N, h = 16, 40.0
+        d = dp.DisorderField(stream(12).standard_normal(N - 1), "standard-normal")
+        assert dp.partition_dp(kernel, rf, d, 0.3, h, 0, N) == pytest.approx(
+            dp.chaos_expansion_exact(kernel, rf, d, 0.3, h, N), rel=1e-10)
+
+    def test_translation_distribution(self, kernel, rf):
+        # Z(t, t+m) and Z(0, m) agree in law across disorder replicas
+        rng = stream(100)
+        m, t, reps = 24, 40, 400
+        z0, zt = [], []
+        for _ in range(reps):
+            d = dp.DisorderField(rng.standard_normal(80), "standard-normal")
+            z0.append(dp.partition_dp(kernel, rf, d, 0.5, 0.0, 0, m))
+            zt.append(dp.partition_dp(kernel, rf, d, 0.5, 0.0, t, t + m))
+        assert ks_2samp(z0, zt).pvalue > 0.01
+
     def test_batch_matches_scalar(self, kernel, rf):
         rng = stream(9)
         R, N = 5, 64
@@ -140,43 +166,6 @@ class TestPartitionDP:
             d = dp.DisorderField(omegas[i], "standard-normal")
             z = dp.partition_dp(kernel, rf, d, 0.3, 0.05, 0, N)
             assert zb[i] == pytest.approx(z, rel=1e-12)
-
-
-class TestSurface:
-    def test_diagonal_ones(self, kernel, rf, disorder):
-        anchors = [(i, i) for i in range(0, 50, 7)]
-        s = dp.partition_surface(kernel, rf, disorder, 0.3, 0.0, 64, anchors)
-        np.testing.assert_array_equal(s.values, np.ones(len(anchors)))
-
-    def test_matches_standalone(self, kernel, rf, disorder):
-        anchors = [(0, 10), (0, 32), (3, 17), (3, 40), (12, 64)]
-        s = dp.partition_surface(kernel, rf, disorder, 0.4, -0.1, 64, anchors)
-        for (a, b), v in zip(anchors, s.values):
-            z = dp.partition_dp(kernel, rf, disorder, 0.4, -0.1, a, b)
-            assert v == pytest.approx(z, rel=1e-12)
-
-    def test_interpolation_at_anchors(self, kernel, rf, disorder):
-        anchors = [(0, 8), (0, 9), (1, 8), (1, 9)]
-        s = dp.partition_surface(kernel, rf, disorder, 0.4, 0.0, 16, anchors)
-        table = s.lookup()
-        assert s.interpolate(0.0, 8.0) == table[(0, 8)]
-        # interior point is a convex combination of the triangle corners
-        v = s.interpolate(0.25, 8.5)
-        corners = [table[(0, 8)], table[(0, 9)], table[(1, 9)]]
-        assert min(corners) - 1e-12 <= v <= max(corners) + 1e-12
-
-    def test_translation_distribution(self, kernel, rf):
-        # Z(t, t+m) and Z(0, m) agree in law across disorder replicas
-        rng = stream(100)
-        m, t, reps = 24, 40, 400
-        z0, zt = [], []
-        for _ in range(reps):
-            d = dp.DisorderField(rng.standard_normal(80), "standard-normal")
-            s = dp.partition_surface(kernel, rf, d, 0.5, 0.0, 80,
-                                     [(0, m), (t, t + m)])
-            z0.append(s.values[0])
-            zt.append(s.values[1])
-        assert ks_2samp(z0, zt).pvalue > 0.01
 
 
 class TestChaos:
@@ -235,16 +224,20 @@ class TestSampler:
             assert C.points[0] == 0.0 and C.points[-1] == 64.0
 
     def test_free_case_matches_conditioned_renewal(self, kernel, rf):
-        N = 64
+        # at zero coupling the backward mass is u(N - j), and g_t follows
+        # the exact conditioned-renewal law
+        N, t = 2048, 1024
         d = dp.DisorderField(np.zeros(N - 1), "standard-normal")
         s = dp.build_pinned_sampler(kernel, d, 0.0, 0.0, N)
+        np.testing.assert_allclose(np.ldexp(s.mass, s.exp2), rf.u[:N + 1],
+                                   rtol=1e-12, atol=0)
         rng = stream(17)
-        gaps_gibbs, gaps_ren = [], []
-        for _ in range(2000):
-            gaps_gibbs.extend(np.diff(s.sample(rng).points))
-            pts = rn.sample_renewal(kernel, N, conditioned=True, rng=rng, rf=rf)
-            gaps_ren.extend(np.diff(pts))
-        assert ks_2samp(gaps_gibbs, gaps_ren).pvalue > 0.01
+        n_rep = 2000
+        g = [cs.g_map(s.sample(rng), t) for _ in range(n_rep)]
+        cdf = np.cumsum(rn.conditioned_g_law(rf, N, t))
+        emp = np.searchsorted(np.sort(g), np.arange(t + 1), side="right") / n_rep
+        # KS distance on the lattice; the continuous-null bound is conservative
+        assert np.max(np.abs(emp - cdf)) < 1.63 / np.sqrt(n_rep)
 
     def test_two_configuration_marginal(self):
         k = rn.two_point_kernel(0.5)
@@ -282,3 +275,39 @@ class TestSampler:
             emp = counts.get(key, 0) / n_rep
             se = np.sqrt(p * (1 - p) / n_rep)
             assert abs(emp - p) < 4.5 * se
+
+    def test_configuration_probabilities_exact(self, kernel):
+        # the product of the sampler's own transition probabilities along
+        # each configuration is its exact Gibbs probability
+        for N in range(8, 13):
+            d = dp.DisorderField(stream(34, N).standard_normal(N - 1),
+                                 "standard-normal")
+            exact = dp.enumerate_pinned_exact(kernel, d, 0.7, 0.3, N)
+            s = dp.build_pinned_sampler(kernel, d, 0.7, 0.3, N)
+            for sites, p in exact.items():
+                pts = [0, *sorted(sites), N]
+                prob = 1.0
+                for i, j in zip(pts[:-1], pts[1:]):
+                    row = np.diff(s.row(i), prepend=0.0)
+                    prob *= row[j - i - 1]
+                assert prob == pytest.approx(p, abs=1e-12)
+
+    def test_rows_built_lazily(self, kernel):
+        N = 512
+        d = dp.DisorderField(np.zeros(N - 1), "standard-normal")
+        s = dp.build_pinned_sampler(kernel, d, 0.0, 0.0, N)
+        assert not s.rows
+        pts = s.sample(stream(35)).points.astype(int)
+        assert sorted(s.rows) == sorted(pts[:-1])
+
+    def test_underflow_flag_and_raise(self):
+        # every site weight is exp(-800) = 0: the mass from 0 is 0
+        k = rn.two_point_kernel(0.5)
+        d = dp.DisorderField(np.zeros(3), "standard-normal")
+        s = dp.build_pinned_sampler(k, d, 0.0, -800.0, 4)
+        assert s.underflow
+        assert s.underflow == bool(np.any(s.mass[1:] == 0))
+        with pytest.raises(FloatingPointError, match="point 0"):
+            s.sample(stream(36))
+        s = dp.build_pinned_sampler(k, d, 0.0, -3.0, 4)
+        assert not s.underflow and np.all(s.mass[1:] > 0)

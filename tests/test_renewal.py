@@ -169,72 +169,62 @@ class TestBesselWalk:
         assert tr.monotone
 
 
+def _conditioned_sampler(kernel, N):
+    """The renewal conditioned on N in tau: the pinned law at zero coupling."""
+    free = dp.DisorderField(np.zeros(N - 1), "standard-normal")
+    return dp.build_pinned_sampler(kernel, free, 0.0, 0.0, N)
+
+
 class TestSampling:
     def test_degenerate_kernel_full_set(self):
         with pytest.warns(UserWarning):
             k = rn.build_kernel(rn.KernelSpec("explicit", probs=(1.0 - 1e-15,),
                                               allow_irregular=True))
-        pts = rn.sample_renewal(k, 10, conditioned=False, rng=stream(1))
+        pts = rn.sample_renewal(k, 10, rng=stream(1))
         np.testing.assert_array_equal(pts, np.arange(11))
 
-    def test_conditioned_contains_endpoints(self, kernel_075, rf_075):
+    def test_conditioned_contains_endpoints(self, kernel_075):
         rng = stream(7)
+        s = _conditioned_sampler(kernel_075, 64)
         for _ in range(20):
-            pts = rn.sample_renewal(kernel_075, 64, conditioned=True,
-                                    rng=rng, rf=rf_075)
+            pts = s.sample(rng).points
             assert pts[0] == 0 and pts[-1] == 64
             assert np.all(np.diff(pts) >= 1)
 
     def test_conditioned_two_point_marginal(self):
         k = rn.two_point_kernel(0.5)
-        rf = rn.renewal_function(k, 2)
+        s = _conditioned_sampler(k, 2)
         rng = stream(11)
-        hits = 0
         n_rep = 100_000
-        for _ in range(n_rep):
-            pts = rn.sample_renewal(k, 2, conditioned=True, rng=rng, rf=rf)
-            hits += 1 in pts
+        hits = sum(1.0 in s.sample(rng).points for _ in range(n_rep))
         # P(1 in tau | 2 in tau) = K(1)^2/u(2) = 1/3
         assert hits / n_rep == pytest.approx(1.0 / 3.0, abs=0.01)
 
     def test_conditioned_marginals_match_u(self, kernel_075):
         N = 32
         rf = rn.renewal_function(kernel_075, N)
-        M = rn.conditioned_transition_matrix(kernel_075, rf, N)
+        s = _conditioned_sampler(kernel_075, N)
         rng = stream(13)
         n_rep = 100_000
         counts = np.zeros(N + 1)
         for _ in range(n_rep):
-            pts = rn.sample_renewal_fast(M, rng)
-            counts[pts] += 1
+            counts[s.sample(rng).points.astype(int)] += 1
         emp = counts / n_rep
         u = rf.u
         expect = u[:N + 1] * u[N::-1] / u[N]
         se = np.sqrt(np.maximum(expect * (1 - expect), 1e-12) / n_rep)
         assert np.all(np.abs(emp - expect) <= 4 * se)
 
-    def test_fast_sampler_matches_slow(self, kernel_075):
-        N = 32
-        rf = rn.renewal_function(kernel_075, N)
-        M = rn.conditioned_transition_matrix(kernel_075, rf, N)
-        a = rn.sample_renewal(kernel_075, N, conditioned=True, rng=stream(5), rf=rf)
-        b = rn.sample_renewal_fast(M, rng=stream(5))
-        np.testing.assert_array_equal(a, b)
-
     def test_unconditioned_gap_law(self, kernel_075):
         rng = stream(3)
         gaps = []
         for _ in range(20_000):
-            pts = rn.sample_renewal(kernel_075, 50, conditioned=False, rng=rng)
+            pts = rn.sample_renewal(kernel_075, 50, rng=rng)
             gaps.extend(np.diff(pts))
         gaps = np.asarray(gaps)
         # the ratio of short-gap frequencies is insensitive to the horizon
         ratio = np.mean(gaps == 2) / np.mean(gaps == 1)
         assert ratio == pytest.approx(kernel_075.k[2] / kernel_075.k[1], abs=0.03)
-
-    def test_missing_u_rejected(self, kernel_075):
-        with pytest.raises(rn.KernelError):
-            rn.sample_renewal(kernel_075, 16, conditioned=True, rng=stream(0))
 
 
 class TestConditionedGLaw:

@@ -38,8 +38,29 @@ def test_matches_naive_loop(n, R, seed):
     k[0] = np.nan  # never read
     f = rng.random(n)
     c = rng.random((n, R))
-    np.testing.assert_allclose(renewal_solve_batch(k, f, c),
-                               naive_solve(k, f, c), rtol=1e-12)
+    x, e = renewal_solve_batch(k, f, c)
+    assert not e.any()
+    np.testing.assert_allclose(x, naive_solve(k, f, c), rtol=1e-12)
+
+
+@pytest.mark.parametrize("log_c", [20.0, 40.0, 650.0])
+def test_scaled_solve_matches_log_domain(log_c):
+    # large weights take short blocks and rescales; compare in logs with a
+    # log-domain version of the naive loop
+    n, R = 150, 2
+    rng = np.random.default_rng(7)
+    k = np.r_[np.nan, rng.random(n)]
+    k[1:] /= k[1:].sum()
+    f = k[1:]
+    logc = log_c - rng.random((n, R))
+    x, e = renewal_solve_batch(k, f, np.exp(logc))
+    assert e[-1].min() > 0
+    logx = np.empty((n, R))
+    for j in range(n):
+        t = np.vstack([np.full(R, np.log(f[j])),
+                       np.log(k[j:0:-1])[:, None] + logx[:j]])
+        logx[j] = logc[j] + np.logaddexp.reduce(t, axis=0)
+    np.testing.assert_allclose(np.log(x) + e * np.log(2.0), logx, rtol=1e-13)
 
 
 @pytest.fixture(scope="module")
