@@ -501,7 +501,9 @@ def experiment_averaged_abs_continuity(config: AveragedConfig | None = None,
     Each disorder replica contributes draws from its quenched sampler with
     weight Z(0, T); the weighted empirical marginals must match the
     disorder-free reference, which is the absolute-continuity statement
-    made quantitative. h_hat != 0 enters through the Girsanov factor."""
+    made quantitative. h_hat != 0 enters through the Girsanov factor. The
+    report carries the largest renewal-identity residual and the largest
+    clipped mass of any one table (CdpmFddSampler's health counters)."""
     cfg = config or AveragedConfig()
     t0 = time.perf_counter()
     rep = ExperimentReport("averaged-abs-continuity", asdict(cfg), seed)
@@ -511,7 +513,7 @@ def experiment_averaged_abs_continuity(config: AveragedConfig | None = None,
     xs = np.empty((cfg.w_replicas, cfg.draws))
     ys = np.empty((cfg.w_replicas, cfg.draws))
     w = np.empty(cfg.w_replicas)
-    rep.estimates["unstable_tables"] = 0
+    residual = clipped = 0.0
     for i in range(cfg.w_replicas):
         path = ct.sample_brownian(cfg.T, cfg.M, rng)
         ze = ct.ZEvaluator(spec, path)
@@ -519,7 +521,8 @@ def experiment_averaged_abs_continuity(config: AveragedConfig | None = None,
         if cfg.h_hat != 0.0:
             w[i] *= ct.girsanov_tilt(path, cfg.beta_hat, cfg.h_hat)
         sampler = ct.CdpmFddSampler(ze, cfg.t1, grid=cfg.grid)
-        rep.estimates["unstable_tables"] += not sampler.stable
+        residual = max(residual, sampler.residual)
+        clipped = max(clipped, sampler.clipped)
         pairs = sampler.sample(cfg.draws, rng)
         xs[i], ys[i] = pairs[:, 0], pairs[:, 1]
     xe, Fx, ye, Fy = _marginal_cdf_tables(cfg.alpha, cfg.T, cfg.t1)
@@ -530,6 +533,8 @@ def experiment_averaged_abs_continuity(config: AveragedConfig | None = None,
         rep.tests[f"weighted_ks_{name}"] = {"stat": stat, "p": p}
         rep.verdicts[f"weighted_ks_{name}"] = p > cfg.ks_threshold
     rep.estimates["ess"] = ess
+    rep.estimates["max_table_residual"] = residual
+    rep.estimates["clipped_mass"] = clipped
     rep.verdicts["ess_reliable"] = ess >= 100
     se_w = w.std() / np.sqrt(len(w))
     rep.estimates["mean_weight"] = float(w.mean())
@@ -719,8 +724,8 @@ def experiment_z_properties(config: ZPropertiesConfig | None = None,
         ze = ct.ZEvaluator(spec_r, path)
         z0t = ze.z0T()
         for j, g in enumerate((cfg.residual_grid, 2 * cfg.residual_grid)):
-            m, _, _ = ct._cdpm_cell_masses(ze, cfg.residual_t1, g)
-            res[i, j] = abs(m.sum() - z0t) / z0t
+            tab, zx, zy = ct._cdpm_factors(ze, cfg.residual_t1, g)
+            res[i, j] = abs(zx @ tab.masses @ zy - z0t) / z0t
     coarse, fine = res.mean(axis=0)
     rep.tests["renewal_residual"] = {"coarse": float(coarse),
                                      "fine": float(fine)}

@@ -145,30 +145,29 @@ def _check_level(C: ClosedSetR, n: int, T: float) -> None:
         raise ValueError("resolution too coarse for the requested dyadic level")
 
 
+def _blocks_of(C: ClosedSetR, n: int, T: float):
+    """The points of C in [0, T] and the index j of the level-n dyadic block
+    [(j-1)T/2^n, jT/2^n] holding each, non-decreasing since the points are
+    sorted. A point on a block boundary belongs to the block it closes
+    (left-open blocks except the first, which holds 0)."""
+    _check_level(C, n, T)
+    pts = C.points[np.searchsorted(C.points, 0.0):
+                   np.searchsorted(C.points, T, side="right")]
+    return pts, np.maximum(np.ceil(pts / (T * 2.0 ** (-n))), 1.0)
+
+
 def box_count(C: ClosedSetR, n: int, T: float) -> int:
     """Number of level-n dyadic blocks [(j-1)T/2^n, jT/2^n] meeting C."""
-    _check_level(C, n, T)
-    pts = C.points[(C.points >= 0) & (C.points <= T)]
-    if pts.size == 0:
-        return 0
-    w = T * 2.0 ** (-n)
-    # a point on a block boundary belongs to the block it closes (left-open
-    # blocks except the first)
-    j = np.ceil(pts / w).astype(np.int64)
-    j[pts == 0.0] = 1
-    return int(len(np.unique(j)))
+    pts, j = _blocks_of(C, n, T)
+    return 0 if pts.size == 0 else 1 + int(np.count_nonzero(np.diff(j)))
 
 
 def dyadic_blocks(C: ClosedSetR, n: int, T: float) -> np.ndarray:
     """Per occupied level-n dyadic block, the extreme points (a_j, b_j) of C
     inside it. Returns an array of (a, b) rows, ordered left to right."""
-    _check_level(C, n, T)
-    pts = C.points[(C.points >= 0) & (C.points <= T)]
+    pts, j = _blocks_of(C, n, T)
     if pts.size == 0 or pts[0] != 0.0 or pts[-1] != T:
         raise ValueError("block decomposition requires 0 and T in the set")
-    w = T * 2.0 ** (-n)
-    j = np.ceil(pts / w).astype(np.int64)
-    j[pts == 0.0] = 1
     starts = np.flatnonzero(np.concatenate([[True], np.diff(j) != 0]))
     ends = np.concatenate([starts[1:], [len(pts)]])
     return np.column_stack([pts[starts], pts[ends - 1]])

@@ -12,8 +12,9 @@ moment, samples the alpha-stable regenerative set conditioned to contain
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import lgamma
-from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -117,11 +118,11 @@ def _gap_factors(alpha: float, delta: float, n: int) -> np.ndarray:
 def _edge_factors(alpha: float, anchor: float, edges: np.ndarray,
                   delta: float, with_c: bool) -> np.ndarray:
     """Exact cell averages of (x - anchor)^(alpha-1) over cells bounded by
-    the sorted edge array (len n+1 for n cells)."""
+    the edge array sorted along axis 0 (n+1 rows for n cells)."""
     # clamp: the grid-slack in _snap can put the first edge a rounding
     # error below the anchor
     p = np.maximum(edges - anchor, 0.0) ** alpha
-    out = np.diff(p) / (alpha * delta)
+    out = (p[1:] - p[:-1]) / (alpha * delta)
     return out * stable_constant(alpha) if with_c else out
 
 
@@ -133,17 +134,18 @@ def _terminal_factors(alpha: float, t: float, edges: np.ndarray,
     return out
 
 
-def _snap(x: float, delta: float) -> tuple[float, int]:
+def _snap(x, delta: float):
     """Grid index nearest x, and the end the recursion uses for x: x itself
     when it lies on the grid (to 1e-9 cells), else that nearest grid point.
+    Elementwise on an array x.
 
     Rounding to the nearest point keeps the noise of a short span: keeping
     only the cells fully inside an off-grid span drops up to two cells, and
     a span of a few cells then loses most of its variance.
     """
-    r = x / delta
-    i = int(np.floor(r + 0.5))
-    return (x if abs(r - i) <= 1e-9 else i * delta), i
+    r = np.asarray(x) / delta
+    i = np.floor(r + 0.5).astype(np.int64)
+    return np.where(np.abs(r - i) <= 1e-9, x, i * delta), i
 
 
 def _z_eval(spec: ChaosSpec, path: BrownianPath, s: float, t: float) -> float:
@@ -201,22 +203,50 @@ def z_point_batch(spec: ChaosSpec, increments: np.ndarray,
     delta = spec.T / spec.M
     s, i0 = _snap(s, delta)
     t, i1 = _snap(t, delta)
-    n = i1 - i0
-    R = increments.shape[0]
-    if n <= 0:
-        return np.ones(R)
+    if i1 <= i0:
+        return np.ones(increments.shape[0])
     c = spec.beta_hat * increments[:, i0:i1].T + spec.h_hat * delta  # (n, R)
+    return _z_cells(spec, delta, c, s, t, i0)
+
+
+def _z_spans(spec: ChaosSpec, path: BrownianPath, s: np.ndarray,
+             t: np.ndarray) -> np.ndarray:
+    """Z(s_r, t_r) on one path for arrays of ends s, t: the spans are the
+    replicas of one _z_cells call, each zero-padded to the longest. Ends
+    snap as in _z_eval; a span that snaps to no cell is 1."""
+    delta = path.delta
+    s, i0 = _snap(s, delta)
+    t, i1 = _snap(t, delta)
+    n = i1 - i0
+    z = np.ones(len(n))
+    live = n > 0
+    if live.any():
+        lag = np.arange(n[live].max())[:, None]
+        cell = np.minimum(i0[live] + lag, path.M - 1)
+        c = np.where(lag < n[live], spec.beta_hat * path.increments[cell]
+                     + spec.h_hat * delta, 0.0)
+        z[live] = _z_cells(spec, delta, c, s[live], t[live], i0[live])
+    return z
+
+
+def _z_cells(spec: ChaosSpec, delta: float, c: np.ndarray, s, t,
+             i0) -> np.ndarray:
+    """Z over spans of L = len(c) grid cells from grid index i0, one span
+    per column of the cell weights c (L, R), by one renewal_solve_batch
+    call. s, t and i0 are shared scalars or (R,) arrays; cells past the end
+    of a shorter span carry c = 0, which leaves its value unchanged."""
     if spec.variant == "mean-case":
         return np.prod(1.0 + c / spec.mean_tau1, axis=0)
-    edges = delta * np.arange(i0, i1 + 1)
-    kg = _gap_factors(spec.alpha, delta, n)
+    L = c.shape[0]
+    edges = delta * (i0 + np.arange(L + 1)[:, None])
+    kg = _gap_factors(spec.alpha, delta, L)
     ef = _edge_factors(spec.alpha, s, edges, delta, with_c=True)
     A, e = renewal_solve_batch(kg, ef, c)
     A = np.ldexp(A, e)
     if spec.variant == "free":
         return 1.0 + A.sum(axis=0)
     tf = _terminal_factors(spec.alpha, t, edges, delta)
-    return 1.0 + (t - s) ** (1.0 - spec.alpha) * (tf @ A)
+    return 1.0 + (t - s) ** (1.0 - spec.alpha) * np.einsum("jr,jr->r", tf, A)
 
 
 def _tavg_base(alpha: float, delta: float, n: int) -> np.ndarray:
@@ -300,58 +330,28 @@ def z_profile_to(spec: ChaosSpec, path: BrownianPath,
 
 
 class ZEvaluator:
-    """Z(s, t) evaluator for one (spec, path) pair with profile caches."""
+    """Z(s, t) for one (spec, path) pair. The profiles Z(0, .) and Z(., T),
+    each a (grid times, values) pair, are computed once, on first use."""
 
     def __init__(self, spec: ChaosSpec, path: BrownianPath):
         if abs(spec.T - path.T) > 1e-12 or spec.M != path.M:
             raise ValueError("spec and path disagree on the grid")
         self.spec = spec
         self.path = path
-        self._from: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self._to: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def from_0(self) -> tuple[np.ndarray, np.ndarray]:
+        return z_profile_from(self.spec, self.path, 0.0)
+
+    @cached_property
+    def to_T(self) -> tuple[np.ndarray, np.ndarray]:
+        return z_profile_to(self.spec, self.path, self.spec.T)
 
     def z(self, s: float, t: float) -> float:
         return _z_eval(self.spec, self.path, s, t)
 
     def z0T(self) -> float:
-        return self.z_from(0.0, self.spec.T)
-
-    def z_from(self, s: float, t: float) -> float:
-        """Z(s, t) via the cached right profile anchored at s (t is
-        interpolated linearly between grid points)."""
-        if s not in self._from:
-            self._from[s] = z_profile_from(self.spec, self.path, s)
-        ts, zs = self._from[s]
-        return float(np.interp(t, ts, zs))
-
-    def z_to(self, s: float, t: float) -> float:
-        if t not in self._to:
-            self._to[t] = z_profile_to(self.spec, self.path, t)
-        ys, zs = self._to[t]
-        return float(np.interp(s, ys, zs))
-
-
-@dataclass(frozen=True)
-class ZSurface:
-    """Z on a triangular anchor grid 0 <= s <= t <= T."""
-
-    T: float
-    M: int
-    anchors: np.ndarray  # (n, 2) real pairs
-    values: np.ndarray
-    seed_info: tuple = ()
-
-    def to_csv(self, path) -> None:
-        data = np.column_stack([self.anchors, self.values])
-        np.savetxt(path, data, delimiter=",", header="s,t,Z", comments="")
-
-
-def build_zsurface(spec: ChaosSpec, path: BrownianPath, anchors,
-                   seed_info: tuple = ()) -> ZSurface:
-    anchors = np.asarray(anchors, dtype=float)
-    values = np.array([_z_eval(spec, path, s, t) for s, t in anchors])
-    return ZSurface(T=spec.T, M=spec.M, anchors=anchors, values=values,
-                    seed_info=seed_info)
+        return float(np.interp(self.spec.T, *self.from_0))
 
 
 # ---------------------------------------------------------------------------
@@ -548,16 +548,91 @@ def _graded_grid(a: float, b: float, n: int, edge: str) -> np.ndarray:
     return b - r[::-1]
 
 
+class _RefTable(NamedTuple):
+    """The conditioned k = 1 reference table on the graded grid."""
+
+    masses: np.ndarray  # (nx, ny) cell masses, round-off negatives set to 0
+    xe: np.ndarray
+    ye: np.ndarray
+    xm: np.ndarray  # cell midpoints
+    ym: np.ndarray
+    clipped: tuple  # (i, j, mass set to 0) of the round-off negative cells
+
+
+@lru_cache(maxsize=4)
+def _reference_table(alpha: float, T: float, t1: float, grid: int) -> _RefTable:
+    """Cell masses of C_a x^(a-1) (y-x)^(-1-a) (T-y)^(a-1) over
+    [0, t1] x (t1, T], grid cells a side on grids graded toward the
+    singular edges: the (y - x) factor by its exact closed-form double
+    integral, the boundary power factors by exact single integrals.
+
+    The table depends on no environment: the quenched table of an
+    environment is Z(0, xm) masses Z(ym, T), row and column scaled. It is
+    built once per argument tuple, and its arrays are read-only.
+    """
+    half = grid // 2
+    xe = np.unique(np.concatenate([
+        _graded_grid(0.0, t1 / 2, half, "left"),
+        _graded_grid(t1 / 2, t1, half, "right")]))
+    ye = np.unique(np.concatenate([
+        _graded_grid(t1, (t1 + T) / 2, half, "left"),
+        _graded_grid((t1 + T) / 2, T, half, "right")]))
+    # exact 1-D integrals of the boundary power factors per cell
+    ix = np.diff(xe ** alpha) / alpha                      # int x^(a-1)
+    iy = np.diff(-((T - ye) ** alpha)) / alpha             # int (T-y)^(a-1)
+    # exact double integral of (y-x)^(-1-a) over each cell pair
+    G = (ye[None, :] - xe[:, None]) ** (1.0 - alpha)
+    # int over [a,b]x[c,d] of (y-x)^(-1-a) dy dx, with G(u) = u^(1-a):
+    # [G(c-a) + G(d-b) - G(d-a) - G(c-b)] / (a (1-a))
+    I2 = (G[:-1, :-1] + G[1:, 1:] - G[:-1, 1:] - G[1:, :-1]) / (alpha * (1.0 - alpha))
+    # divide out the cell width of each exactly integrated boundary factor:
+    # it stands for a smooth factor taken at the cell midpoint
+    masses = stable_constant(alpha) * ((ix / np.diff(xe))[:, None] * iy
+                                       / np.diff(ye) * I2)
+    # round-off in the cancelling differences of I2 leaves tiny negative
+    # cells; they carry no probability
+    i, j = np.nonzero(masses < 0)
+    cut = -masses[i, j]
+    masses[i, j] = 0.0
+    tab = _RefTable(masses, xe, ye, 0.5 * (xe[:-1] + xe[1:]),
+                    0.5 * (ye[:-1] + ye[1:]), (i, j, cut))
+    for a in (*tab[:5], i, j, cut):
+        a.flags.writeable = False
+    return tab
+
+
+def reference_fdd_table(alpha: float, T: float, t1: float, grid: int = 512):
+    """(masses, xe, ye): cell masses of the conditioned k = 1 reference
+    density on the graded grid, with its edges. The masses sum to a
+    quadrature estimate of 1, and their cumulative sums give the joint CDF
+    of (g_t1, d_t1). The arrays are cached and read-only."""
+    return _reference_table(alpha, T, t1, grid)[:3]
+
+
+def _cdpm_factors(zeval: ZEvaluator, t1: float, grid: int):
+    """The reference table of grid cells a side, and Z(0, x) and Z(y, T) at
+    its cell midpoints, interpolated linearly in the two Z profiles."""
+    spec = zeval.spec
+    tab = _reference_table(spec.alpha, spec.T, t1, grid)
+    return (tab, np.interp(tab.xm, *zeval.from_0),
+            np.interp(tab.ym, *zeval.to_T))
+
+
 class CdpmFddSampler:
     """Tabulated sampler for (g_t1, d_t1) under the quenched CDPM law, k = 1.
 
-    The density Z(0,x) x^(a-1) (y-x)^(-1-a) Z(y,T) (T-y)^(a-1) is
-    integrated cell by cell on grids graded toward the singular edges: the
-    (y - x) factor by its exact closed-form double integral, the boundary
-    power factors by exact single integrals, the smooth Z profiles at cell
-    midpoints. The table doubles at most twice, until its total mass is
-    stable to 1e-6 (`stable`). Draws pick a cell categorically, then the
-    point inside the cell from the dominant local power factor.
+    The density Z(0,x) x^(a-1) (y-x)^(-1-a) Z(y,T) (T-y)^(a-1) is tabulated
+    on 4 * grid cells a side: the cached reference table (see
+    _reference_table), its rows scaled by Z(0, x) and its columns by Z(y, T)
+    at the cell midpoints. A Z <= 0 at a midpoint raises ValueError.
+
+    Health counters: `residual` = |mass - Z(0,T)| / Z(0,T), the renewal
+    identity, which the Z grid M rather than the table grid limits; and
+    `clipped`, the mass of the round-off negative cells set to 0.
+
+    Draws invert the CDF of the row-major flattened table: a row by its
+    mass, then a cell inside the row, then the point inside the cell from
+    the dominant local power factor.
     """
 
     def __init__(self, zeval: ZEvaluator, t1: float, grid: int = 512):
@@ -565,31 +640,28 @@ class CdpmFddSampler:
             raise ValueError("need 0 < t1 < T")
         self.alpha = zeval.spec.alpha
         self.t1 = t1
-        masses, xe, ye = _cdpm_cell_masses(zeval, t1, grid)
-        total = masses.sum()
-        for _ in range(2):
-            m2, xe2, ye2 = _cdpm_cell_masses(zeval, t1, 2 * (len(xe) - 1))
-            stable = abs(m2.sum() - total) <= 1e-6 * abs(total)
-            masses, xe, ye, total = m2, xe2, ye2, m2.sum()
-            if stable:
-                break
-        self.stable = bool(stable)
-        # roundoff in the cancelling double-integral differences can leave
-        # tiny negative cell masses; they carry no probability
-        flat = np.clip(masses.ravel(), 0.0, None)
-        if not flat.sum() > 0:
-            raise ValueError("cell-mass table degenerate (Z surface negative?)")
-        self.shape = masses.shape
-        self.cdf = np.cumsum(flat)
-        self.mass = float(self.cdf[-1])
-        self.cdf /= self.cdf[-1]
-        self.xe, self.ye = xe, ye
+        tab, self.zx, self.zy = _cdpm_factors(zeval, t1, 4 * grid)
+        bad = int(np.sum(self.zx <= 0) + np.sum(self.zy <= 0))
+        if bad:
+            raise ValueError(f"Z <= 0 at {bad} table midpoints")
+        z0t = zeval.z0T()
+        if z0t <= 0:
+            raise ValueError("Z(0,T) <= 0: discretization failure")
+        self.ref, self.xe, self.ye = tab.masses, tab.xe, tab.ye
+        self.row_cdf = np.cumsum(self.zx * (self.ref @ self.zy))
+        self.mass = float(self.row_cdf[-1])
+        self.residual = abs(self.mass - z0t) / z0t
+        i, j, cut = tab.clipped
+        self.clipped = float(np.sum(self.zx[i] * cut * self.zy[j]))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n draws, returned as an (n, 2) array of (x, y) pairs."""
         alpha = self.alpha
-        idx = np.searchsorted(self.cdf, rng.random(n))
-        i, j = np.unravel_index(idx, self.shape)
+        u = rng.random(n) * self.mass
+        i = np.minimum(np.searchsorted(self.row_cdf, u), len(self.row_cdf) - 1)
+        u -= np.where(i > 0, self.row_cdf[i - 1], 0.0)
+        cells = np.cumsum(self.zx[i, None] * self.ref[i] * self.zy, axis=1)
+        j = np.minimum(np.sum(cells < u[:, None], axis=1), len(self.zy) - 1)
         # x within its column: exact local power x^(a-1)
         a, b = self.xe[i], self.xe[i + 1]
         u = rng.random(n)
@@ -608,58 +680,6 @@ def sample_cdpm_fdd(zeval: ZEvaluator, t1: float, rng: np.random.Generator,
     return CdpmFddSampler(zeval, t1, grid).sample(n, rng)
 
 
-class _UnitEvaluator:
-    """Z identically 1; turns the CDPM machinery into the reference law."""
-
-    def __init__(self, alpha: float, T: float):
-        self.spec = SimpleNamespace(alpha=alpha, T=T)
-
-    def z_from(self, s: float, t: float) -> float:
-        return 1.0
-
-    def z_to(self, s: float, t: float) -> float:
-        return 1.0
-
-
-def reference_fdd_table(alpha: float, T: float, t1: float, grid: int = 512):
-    """Cell masses of the conditioned k = 1 reference density on the graded
-    grid; their sum is a quadrature estimate of 1 and their cumulative sums
-    give the joint CDF of (g_t1, d_t1)."""
-    return _cdpm_cell_masses(_UnitEvaluator(alpha, T), t1, grid)
-
-
-def _cdpm_cell_masses(zeval: ZEvaluator, t1: float, grid: int):
-    spec = zeval.spec
-    alpha, T = spec.alpha, spec.T
-    half = grid // 2
-    xe = np.unique(np.concatenate([
-        _graded_grid(0.0, t1 / 2, half, "left"),
-        _graded_grid(t1 / 2, t1, half, "right")]))
-    ye = np.unique(np.concatenate([
-        _graded_grid(t1, (t1 + T) / 2, half, "left"),
-        _graded_grid((t1 + T) / 2, T, half, "right")]))
-    # exact 1-D integrals of the boundary power factors per cell
-    ix = np.diff(xe ** alpha) / alpha                      # int x^(a-1)
-    iy = np.diff(-((T - ye) ** alpha)) / alpha             # int (T-y)^(a-1)
-    xm = 0.5 * (xe[:-1] + xe[1:])
-    ym = 0.5 * (ye[:-1] + ye[1:])
-    zx = np.array([zeval.z_from(0.0, x) for x in xm])
-    zy = np.array([zeval.z_to(y, T) for y in ym])
-    # exact double integral of (y-x)^(-1-a) over each cell pair
-    G = (ye[None, :] - xe[:, None]) ** (1.0 - alpha)
-    # int over [a,b]x[c,d] of (y-x)^(-1-a) dy dx, with G(u) = u^(1-a):
-    # [G(c-a) + G(d-b) - G(d-a) - G(c-b)] / (a (1-a))
-    I2 = (G[:-1, :-1] + G[1:, 1:] - G[:-1, 1:] - G[1:, :-1]) / (alpha * (1.0 - alpha))
-    # smooth ratios: divide out the midpoint value of each exactly
-    # integrated factor so nothing is double counted
-    fx = (zx * ix)[:, None]
-    fy = (zy * iy)[None, :]
-    wx = np.diff(xe)[:, None]
-    wy = np.diff(ye)[None, :]
-    masses = fx / wx * fy / wy * I2
-    return stable_constant(alpha) * masses, xe, ye
-
-
 # ---------------------------------------------------------------------------
 # singularity martingale
 
@@ -667,19 +687,17 @@ def _cdpm_cell_masses(zeval: ZEvaluator, t1: float, grid: int):
 def martingale_fn(zeval: ZEvaluator, regen: RegenSample, n: int) -> float:
     """f_n = prod over occupied level-n blocks of Z(a_j, b_j), over Z(0,T).
 
-    Blocks are the covering-sum decomposition of the sampled set; singleton
-    blocks contribute Z(a,a) = 1.
+    Blocks are the covering-sum decomposition of the sampled set; all of
+    them go through one batched solve (_z_spans). Singleton blocks, and
+    blocks whose ends snap to the same grid point, contribute 1.
     """
     T = zeval.spec.T
     z0t = zeval.z0T()
     if z0t <= 0:
         raise ValueError("Z(0,T) <= 0: discretization failure")
     blocks = dyadic_blocks(regen.set, n, T)
-    val = 1.0
-    for a, b in blocks:
-        if b > a:
-            val *= zeval.z(a, b)
-    return val / z0t
+    z = _z_spans(zeval.spec, zeval.path, blocks[:, 0], blocks[:, 1])
+    return float(np.prod(z)) / z0t
 
 
 def block_variance_sum(spec: ChaosSpec, regen: RegenSample, n: int) -> float:

@@ -10,8 +10,9 @@ BLOCK = 64  # indices per block; each block takes its whole past in one GEMM
 
 def renewal_solve_batch(k: np.ndarray, f: np.ndarray,
                         c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x of shape (n, R) for weights c of shape (n, R), the forcing f (n,)
-    and the lag kernel k (n+1,) shared by all replicas; k[0] is not read.
+    """x of shape (n, R) for weights c of shape (n, R), the forcing f of
+    shape (n,) shared by all replicas or (n, R), and the lag kernel k (n+1,)
+    shared by all replicas; k[0] is not read.
 
     Returns (x, e): the solution is x * 2**e, e an integer array of the
     shape of x. With |f| <= 1 and sum |k| <= 1 each index grows the running
@@ -23,6 +24,7 @@ def renewal_solve_batch(k: np.ndarray, f: np.ndarray,
     BLOCK with e = 0, unscaled.
     """
     n, R = c.shape
+    f = f.reshape(n, -1)
     step = np.log(max(1.0, float(np.max(np.abs(c), initial=0.0)))) + 1.0
     b = min(BLOCK, max(1, int(600 // step)))
     limit = np.exp(max(np.log(np.finfo(float).max) - b * step, 0.0))
@@ -33,7 +35,7 @@ def renewal_solve_batch(k: np.ndarray, f: np.ndarray,
     for j0 in range(0, n, b):
         m = min(b, n - j0)
         # the Toeplitz slice k[j0 + a - i], a < m, i < j0, times the past
-        acc = np.ldexp(f[j0:j0 + m, None], -cur) + sliding_window_view(
+        acc = np.ldexp(f[j0:j0 + m], -cur) + sliding_window_view(
             k[j0 + m - 1:0:-1], j0)[::-1] @ past[:j0]
         for a in range(m):  # then the terms inside the block
             acc[a] += k[a:0:-1] @ past[j0:j0 + a]

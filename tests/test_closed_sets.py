@@ -120,6 +120,16 @@ class TestBoxCount:
         with pytest.raises(ValueError):
             cs.box_count(C, 4, 1.0)
 
+    @given(st.lists(st.one_of(st.floats(-0.5, 1.5), st.integers(0, 64).map(
+        lambda k: k / 64)), max_size=40), st.integers(0, 6))
+    def test_matches_unique_count(self, xs, n):
+        # points at 0, at T, on block boundaries and outside [0, T]
+        C = cs.from_points(xs, resolution=2.0 ** -6)
+        pts = C.points[(C.points >= 0) & (C.points <= 1)]
+        j = np.ceil(pts * 2.0 ** n).astype(np.int64)
+        j[pts == 0.0] = 1
+        assert cs.box_count(C, n, 1.0) == len(np.unique(j))
+
     def test_slope_of_full_grid(self):
         C = cs.from_points(np.arange(2 ** 10 + 1) / 2 ** 10, resolution=2.0 ** -10)
         counts = {n: cs.box_count(C, n, 1.0) for n in range(4, 10)}

@@ -352,16 +352,60 @@ class TestCdpmFdd:
         # integral of the quenched k=1 density is the renewal identity:
         # the cell masses (weighted by Z factors) must total Z(0,T)
         ze = ct.ZEvaluator(spec, path)
-        m, _, _ = ct._cdpm_cell_masses(ze, 0.4, 512)
-        assert m.sum() == pytest.approx(ze.z0T(), rel=2e-3)
+        smp = ct.CdpmFddSampler(ze, 0.4, grid=128)  # 512 cells a side
+        assert smp.mass == pytest.approx(ze.z0T(), rel=2e-3)
 
-    def test_table_stability_flag(self, spec, path, monkeypatch):
+    def test_health_counters(self, spec, path):
         ze = ct.ZEvaluator(spec, path)
-        # the 128-cell table still moves by more than 1e-6 at 512 cells
-        assert ct.CdpmFddSampler(ze, 0.4, grid=128).stable is False
-        table = ct._cdpm_cell_masses(ze, 0.4, 128)
-        monkeypatch.setattr(ct, "_cdpm_cell_masses", lambda *a: table)
-        assert ct.CdpmFddSampler(ze, 0.4, grid=128).stable is True
+        smp = ct.CdpmFddSampler(ze, 0.4, grid=128)
+        z0t = ze.z0T()
+        assert smp.residual == abs(smp.mass - z0t) / z0t
+        # the quenched table before clipping, rebuilt from the reference
+        raw = np.array(smp.ref)
+        i, j, cut = ct._reference_table(ALPHA, 1.0, 0.4, 512).clipped
+        raw[i, j] = -cut
+        raw = smp.zx[:, None] * raw * smp.zy
+        assert len(cut) > 0 and np.all(cut > 0)
+        assert smp.clipped == pytest.approx(-raw[raw < 0].sum(), rel=1e-12)
+        assert smp.mass == pytest.approx(raw[raw > 0].sum(), rel=1e-12)
+        assert 0 < smp.clipped < 1e-6 * smp.mass
+
+    def test_nonpositive_z_raises(self, spec, path):
+        ze = ct.ZEvaluator(spec, path)
+        ts, zs = ze.from_0
+        ze.from_0 = ts, np.where(ts < 0.1, -1.0, zs)
+        n_bad = int(np.sum(ct._reference_table(ALPHA, 1.0, 0.4, 512).xm < 0.1))
+        with pytest.raises(ValueError, match=f"Z <= 0 at {n_bad} table"):
+            ct.CdpmFddSampler(ze, 0.4, grid=128)
+
+    def test_draws_match_flat_inverse_cdf(self, spec, path):
+        ze = ct.ZEvaluator(spec, path)
+        smp = ct.CdpmFddSampler(ze, 0.4, grid=64)
+        got = smp.sample(300, stream(12))
+        # the whole table, flattened row-major, one search per draw
+        flat = (smp.zx[:, None] * smp.ref * smp.zy).ravel()
+        cdf = np.cumsum(flat)
+        rng = stream(12)
+        i, j = np.unravel_index(np.searchsorted(cdf / cdf[-1], rng.random(300)),
+                                smp.ref.shape)
+        u = rng.random(300)
+        a, b = smp.xe[i] ** ALPHA, smp.xe[i + 1] ** ALPHA
+        x = (u * b + (1 - u) * a) ** (1 / ALPHA)
+        v = rng.random(300)
+        pc, pd = (smp.ye[j] - x) ** -ALPHA, (smp.ye[j + 1] - x) ** -ALPHA
+        y = x + (v * pd + (1 - v) * pc) ** (-1 / ALPHA)
+        np.testing.assert_array_equal(got, np.column_stack([x, y]))
+        assert smp.mass == pytest.approx(cdf[-1], rel=1e-12)
+
+    def test_reference_table_cached_read_only(self):
+        a = ct.reference_fdd_table(ALPHA, 1.0, 0.4, grid=128)
+        b = ct.reference_fdd_table(ALPHA, 1.0, 0.4, grid=128)
+        for x, y in zip(a, b):
+            assert x is y
+            assert not x.flags.writeable
+        assert np.all(a[0] >= 0)
+        with pytest.raises(ValueError):
+            a[0][0, 0] = 1.0
 
     def test_sampler_support(self, spec, path):
         ze = ct.ZEvaluator(spec, path)
@@ -395,7 +439,42 @@ class TestMartingale:
         sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=0.0, M=1024)
         ze = ct.ZEvaluator(sp, path)
         regen = ct.sample_regen_conditioned(ALPHA, 1.0, 12, stream(11))
-        assert ct.martingale_fn(ze, regen, 6) == 1.0
+        for n in range(9):
+            assert ct.martingale_fn(ze, regen, n) == 1.0
+
+    @pytest.mark.parametrize("variant", ["conditioned", "free"])
+    def test_matches_per_block_scalar(self, variant):
+        # the one batched solve against a _z_eval per block, at every level
+        M = 256
+        delta = 1.0 / M
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=0.2, M=M,
+                          variant=variant)
+        p = ct.sample_brownian(1.0, M, stream(16))
+        ze = ct.ZEvaluator(sp, p)
+        rng = stream(17)
+        pts = np.concatenate([
+            [0.0, 1.0], rng.uniform(0, 1, 40),          # off the grid
+            delta * rng.integers(1, M, 8),              # on the grid
+            delta * (rng.integers(1, M, 4) + 1e-10),    # within 1e-9 cells
+            delta * (37 + np.array([0.1, 0.3])),        # snap to one point
+            [0.5 + 0.3 * delta, 0.5 + 0.9 * delta]])    # across a boundary
+        regen = ct.RegenSample(cs.from_points(pts, resolution=2.0 ** -10), 10)
+        for n in range(9):
+            blocks = cs.dyadic_blocks(regen.set, n, 1.0)
+            if n == 8:
+                assert np.any(blocks[:, 0] == blocks[:, 1])  # singletons
+            want = np.prod([ct._z_eval(sp, p, a, b) for a, b in blocks])
+            assert ct.martingale_fn(ze, regen, n) == pytest.approx(
+                want / ze.z0T(), rel=1e-14)
+
+    def test_mean_case_spans(self):
+        sp = ct.ChaosSpec(alpha=1.5, beta_hat=0.4, variant="mean-case",
+                          mean_tau1=2.0, M=64)
+        p = ct.sample_brownian(1.0, 64, stream(18))
+        s = np.array([0.0, 0.1, 0.5, 0.52])
+        t = np.array([0.3, 0.1, 0.9, 0.53])
+        want = [ct._z_eval(sp, p, a, b) for a, b in zip(s, t)]
+        np.testing.assert_allclose(ct._z_spans(sp, p, s, t), want, rtol=1e-14)
 
     def test_block_variance_sum(self):
         sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, M=1024)
@@ -424,11 +503,3 @@ class TestMartingale:
         assert abs(vals.mean() - 1.0) < 3 * se
 
 
-def test_zsurface_csv(tmp_path, spec, path):
-    anchors = [(0.0, 0.5), (0.0, 1.0), (0.25, 0.75)]
-    surf = ct.build_zsurface(spec, path, anchors)
-    f = tmp_path / "z.csv"
-    surf.to_csv(f)
-    data = np.loadtxt(f, delimiter=",", skiprows=1)
-    assert data.shape == (3, 3)
-    assert data[1, 2] == pytest.approx(ct.z_point(spec, path, 0.0, 1.0), rel=1e-12)
