@@ -148,55 +148,13 @@ def _snap(x, delta: float):
     return np.where(np.abs(r - i) <= 1e-9, x, i * delta), i
 
 
-def _z_eval(spec: ChaosSpec, path: BrownianPath, s: float, t: float) -> float:
-    """All-order chaos value Z(s, t) for s, t anywhere in [0, T].
-
-    An end off the grid is moved to its nearest grid point, so the value is
-    the grid Z between the grid points nearest s and t (1 when both ends
-    round to the same point); ends on the grid are used as given.
-    """
-    if not 0.0 <= s <= t <= spec.T + 1e-12:
-        raise ValueError("need 0 <= s <= t <= T")
-    delta = path.delta
-    s, i0 = _snap(s, delta)
-    t, i1 = _snap(t, delta)
-    n = i1 - i0
-    if n <= 0:
-        return 1.0
-    c = spec.beta_hat * path.increments[i0:i1] + spec.h_hat * delta
-    if spec.variant == "mean-case":
-        return float(np.prod(1.0 + c / spec.mean_tau1))
-    edges = delta * np.arange(i0, i1 + 1)
-    kg = _gap_factors(spec.alpha, delta, n)
-    ef = _edge_factors(spec.alpha, s, edges, delta, with_c=True)
-    A = np.empty(n)
-    for j in range(n):
-        acc = ef[j]
-        if j > 0:
-            acc += np.dot(kg[j:0:-1], A[:j])
-        A[j] = c[j] * acc
-    if spec.variant == "free":
-        return float(1.0 + A.sum())
-    tf = _terminal_factors(spec.alpha, t, edges, delta)
-    return float(1.0 + (t - s) ** (1.0 - spec.alpha) * np.dot(A, tf))
-
-
-def z_point(spec: ChaosSpec, path: BrownianPath, s: float, t: float) -> float:
-    """Z(s, t) for grid-aligned s, t."""
-    delta = path.delta
-    for x in (s, t):
-        if abs(x / delta - round(x / delta)) > 1e-9:
-            raise ValueError("s and t must lie on the path grid")
-    return _z_eval(spec, path, s, t)
-
-
 def z_point_batch(spec: ChaosSpec, increments: np.ndarray,
                   s: float, t: float) -> np.ndarray:
     """Z(s, t) for many independent paths at once.
 
     increments has shape (R, M); one renewal_solve_batch call runs the cell
     recursion for all of them. Off-grid ends follow the nearest-grid-point
-    rule of _z_eval.
+    rule of _snap.
     """
     if not 0.0 <= s <= t <= spec.T + 1e-12:
         raise ValueError("need 0 <= s <= t <= T")
@@ -211,9 +169,13 @@ def z_point_batch(spec: ChaosSpec, increments: np.ndarray,
 
 def _z_spans(spec: ChaosSpec, path: BrownianPath, s: np.ndarray,
              t: np.ndarray) -> np.ndarray:
-    """Z(s_r, t_r) on one path for arrays of ends s, t: the spans are the
-    replicas of one _z_cells call, each zero-padded to the longest. Ends
-    snap as in _z_eval; a span that snaps to no cell is 1."""
+    """Z(s_r, t_r) on one path for arrays of ends 0 <= s <= t <= T: the
+    spans are the replicas of one _z_cells call, each zero-padded to the
+    longest. An end off the grid moves to its nearest grid point (_snap);
+    ends on the grid are used as given, and a span that snaps to no cell
+    is 1."""
+    if not np.all((0.0 <= s) & (s <= t) & (t <= spec.T + 1e-12)):
+        raise ValueError("need 0 <= s <= t <= T")
     delta = path.delta
     s, i0 = _snap(s, delta)
     t, i1 = _snap(t, delta)
@@ -277,12 +239,7 @@ def z_profile_from(spec: ChaosSpec, path: BrownianPath,
     edges = delta * np.arange(i0, spec.M + 1)
     kg = _gap_factors(spec.alpha, delta, n)
     ef = _edge_factors(spec.alpha, s, edges, delta, with_c=True)
-    A = np.empty(n)
-    for j in range(n):
-        acc = ef[j]
-        if j > 0:
-            acc += np.dot(kg[j:0:-1], A[:j])
-        A[j] = c[j] * acc
+    A = np.ldexp(*renewal_solve_batch(kg, ef, c[:, None]))[:, 0]
     if spec.variant == "free":
         return ts, np.concatenate([[1.0], 1.0 + np.cumsum(A)])
     tavg = _tavg_base(spec.alpha, delta, n)
@@ -307,19 +264,15 @@ def z_profile_to(spec: ChaosSpec, path: BrownianPath,
         z = np.concatenate([np.cumprod((1.0 + c / spec.mean_tau1)[::-1])[::-1],
                             [1.0]])
         return ys, z
-    edges = delta * np.arange(0, i1 + 1)
-    kg = _gap_factors(spec.alpha, delta, n)
-    tf = _terminal_factors(spec.alpha, t, edges, delta)
-    E = np.empty(n)
-    for j in range(n - 1, -1, -1):
-        acc = tf[j]
-        if j < n - 1:
-            acc += np.dot(kg[1:n - j], E[j + 1:])
-        E[j] = c[j] * acc
     if spec.variant == "free":
         # free variant has no terminal factor; fall back to per-point passes
         raise NotImplementedError("left profile implemented for the "
                                   "conditioned variant")
+    edges = delta * np.arange(0, i1 + 1)
+    kg = _gap_factors(spec.alpha, delta, n)
+    tf = _terminal_factors(spec.alpha, t, edges, delta)
+    # E[j] = c[j] (tf[j] + sum_{i>j} kg[i-j] E[i]): the recursion reversed
+    E = np.ldexp(*renewal_solve_batch(kg, tf[::-1], c[::-1, None]))[::-1, 0]
     tavg = stable_constant(spec.alpha) * _tavg_base(spec.alpha, delta, n)
     # Z(y_p, t) = 1 + (t-y_p)^(1-a) sum_{j>=p} tavg[j-p] E[j]
     S = fftconvolve(E[::-1], tavg)[:n][::-1]
@@ -348,7 +301,9 @@ class ZEvaluator:
         return z_profile_to(self.spec, self.path, self.spec.T)
 
     def z(self, s: float, t: float) -> float:
-        return _z_eval(self.spec, self.path, s, t)
+        """Z(s, t) for 0 <= s <= t <= T, ends snapped as in _z_spans."""
+        return float(_z_spans(self.spec, self.path, np.array([s]),
+                              np.array([t]))[0])
 
     def z0T(self) -> float:
         return float(np.interp(self.spec.T, *self.from_0))
@@ -528,14 +483,9 @@ def cdpm_fdd_density(zeval: ZEvaluator, times, xs, ys) -> float:
                                 conditioned=True)
     if ref == 0.0:
         return 0.0
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    ylist = np.concatenate([[0.0], y])
-    xlist = np.concatenate([x, [spec.T]])
-    w = 1.0
-    for yi, xi in zip(ylist, xlist):
-        w *= zeval.z(yi, xi)
-    return w / z0t * ref
+    z = _z_spans(spec, zeval.path, np.concatenate([[0.0], ys]),
+                 np.concatenate([xs, [spec.T]]))
+    return float(np.prod(z)) / z0t * ref
 
 
 def _graded_grid(a: float, b: float, n: int, edge: str) -> np.ndarray:

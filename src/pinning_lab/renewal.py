@@ -21,6 +21,8 @@ from scipy.integrate import quad
 from scipy.signal import fftconvolve
 from scipy.special import zeta
 
+from pinning_lab.volterra import renewal_solve_batch
+
 
 class KernelError(ValueError):
     """Raised for kernel specs that cannot yield a valid renewal law."""
@@ -259,42 +261,27 @@ class RenewalFunction:
         return len(self.u) - 1
 
 
-def _renewal_u_direct(k: np.ndarray, n_max: int) -> np.ndarray:
+def _renewal_u_cdq(k: np.ndarray, n_max: int, base: int = 4096) -> np.ndarray:
+    """u(0..n_max) by divide and conquer, O(n log^2 n): a span of at most
+    base indices is one renewal_solve_batch call, and a longer one is split
+    in halves, the first half's part of the second half's sums taken by one
+    FFT convolution."""
     u = np.zeros(n_max + 1)
     u[0] = 1.0
-    kmax = len(k) - 1
-    for n in range(1, n_max + 1):
-        m = min(n, kmax)
-        u[n] = np.dot(k[1:m + 1], u[n - 1::-1][:m])
-    return u
-
-
-def _renewal_u_cdq(k: np.ndarray, n_max: int, base: int = 128) -> np.ndarray:
-    """Divide-and-conquer convolution, O(n log^2 n); matches the direct
-    recursion to ~1e-14."""
-    u = np.zeros(n_max + 1)
-    u[0] = 1.0
-    kmax = len(k) - 1
-    acc = np.zeros(n_max + 1)
-    acc[1:min(kmax, n_max) + 1] = k[1:min(kmax, n_max) + 1]  # u[0] contribution
+    kp = np.zeros(n_max + 1)
+    kp[1:len(k)] = k[1:n_max + 1]
+    acc = kp.copy()  # the u[0] terms
 
     def solve(lo: int, hi: int) -> None:
         if hi - lo <= base:
-            for n in range(lo, hi):
-                m = min(n - lo, kmax)
-                s = acc[n]
-                if m > 0:
-                    s += np.dot(k[1:m + 1], u[n - 1:n - m - 1:-1])
-                u[n] = s
+            x, _ = renewal_solve_batch(kp[:hi - lo + 1], acc[lo:hi],
+                                       np.ones((hi - lo, 1)))
+            u[lo:hi] = x[:, 0]
             return
         mid = (lo + hi) // 2
         solve(lo, mid)
-        width = min(hi - lo - 1, kmax)
-        if width >= 1:
-            c = fftconvolve(u[lo:mid], k[1:width + 1])
-            i0, i1 = mid - lo - 1, hi - lo - 1
-            seg = c[i0:i1]
-            acc[mid:mid + len(seg)] += seg
+        part = fftconvolve(u[lo:mid], kp[1:hi - lo])
+        acc[mid:hi] += part[mid - lo - 1:hi - lo - 1]
         solve(mid, hi)
 
     if n_max >= 1:
@@ -302,17 +289,18 @@ def _renewal_u_cdq(k: np.ndarray, n_max: int, base: int = 128) -> np.ndarray:
     return u
 
 
-def renewal_function(kernel: RenewalKernel, n_max: int,
-                     method: str = "auto") -> RenewalFunction:
-    """Visit probabilities u(0..n_max) from the convolution recursion
-    u(n) = sum_m K(m) u(n-m), u(0) = 1."""
+def renewal_function(kernel: RenewalKernel, n_max: int) -> RenewalFunction:
+    """Visit probabilities u(0..n_max) of the renewal equation
+    u(n) = sum_m K(m) u(n-m), u(0) = 1. It is the weighted renewal recursion
+    with forcing K and unit weights: one renewal_solve_batch call up to
+    n_max = 4096, and above that _renewal_u_cdq's halving around such calls.
+    With sum K <= 1 the solve never rescales. Up to 4096 u is within a few
+    1e-15 of the term-by-term sums; the FFT convolutions above add round-off
+    of order 1e-13 relative at n = 20000."""
     if n_max > kernel.n_max and kernel.regular:
         raise KernelError("n_max exceeds the tabulated kernel range")
-    if method == "direct" or (method == "auto" and n_max <= 4096):
-        u = _renewal_u_direct(kernel.k, n_max)
-    else:
-        u = _renewal_u_cdq(kernel.k, n_max)
-    return RenewalFunction(u=u, alpha=kernel.alpha,
+    return RenewalFunction(u=_renewal_u_cdq(kernel.k, n_max),
+                           alpha=kernel.alpha,
                            slowly_varying=kernel.slowly_varying, kernel=kernel)
 
 

@@ -7,6 +7,8 @@ from pinning_lab import closed_sets as cs
 from pinning_lab import continuum as ct
 from pinning_lab.rng import stream
 
+from chaos_oracle import chaos_oracle as oracle
+
 ALPHA = 0.75
 C_A = 0.75 * np.sin(0.75 * np.pi) / np.pi
 
@@ -83,31 +85,61 @@ class TestKernel:
 class TestZPoint:
     def test_no_disorder(self, path):
         sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=0.0, M=1024)
-        assert ct.z_point(sp, path, 0.0, 1.0) == 1.0
+        assert ct.ZEvaluator(sp, path).z(0.0, 1.0) == 1.0
 
     def test_degenerate_interval(self, spec, path):
-        assert ct.z_point(spec, path, 0.5, 0.5) == 1.0
-
-    def test_off_grid_rejected(self, spec, path):
-        with pytest.raises(ValueError):
-            ct.z_point(spec, path, 0.0, 0.1234567)
+        assert ct.ZEvaluator(spec, path).z(0.5, 0.5) == 1.0
 
     def test_profiles_match_pointwise(self, spec, path):
-        ts, zf = ct.z_profile_from(spec, path, 0.0)
-        ys, zt = ct.z_profile_to(spec, path, 1.0)
+        ze = ct.ZEvaluator(spec, path)
+        ts, zf = ze.from_0
+        ys, zt = ze.to_T
         for q in (0.25, 0.5, 0.875, 1.0):
             i = np.searchsorted(ts, q)
-            assert zf[i] == pytest.approx(ct.z_point(spec, path, 0.0, q), abs=1e-12)
+            assert zf[i] == pytest.approx(ze.z(0.0, q), abs=1e-12)
         for p in (0.0, 0.25, 0.75):
             i = np.searchsorted(ys, p)
-            assert zt[i] == pytest.approx(ct.z_point(spec, path, p, 1.0), abs=1e-12)
+            assert zt[i] == pytest.approx(ze.z(p, 1.0), abs=1e-12)
 
     def test_batch_matches_scalar(self, spec, path):
         other = ct.sample_brownian(1.0, 1024, stream(56))
         incs = np.vstack([path.increments, other.increments])
         zb = ct.z_point_batch(spec, incs, 0.0, 1.0)
-        assert zb[0] == pytest.approx(ct.z_point(spec, path, 0.0, 1.0), rel=1e-14)
-        assert zb[1] == pytest.approx(ct.z_point(spec, other, 0.0, 1.0), rel=1e-14)
+        assert zb[0] == pytest.approx(ct.ZEvaluator(spec, path).z(0.0, 1.0),
+                                      rel=1e-14)
+        assert zb[1] == pytest.approx(ct.ZEvaluator(spec, other).z(0.0, 1.0),
+                                      rel=1e-14)
+
+    @pytest.mark.parametrize("variant", ["conditioned", "free", "mean-case"])
+    @pytest.mark.parametrize("M", [2, 7, 12])
+    def test_matches_chaos_oracle(self, variant, M):
+        # Z at a point, in a batch and along both profiles against the
+        # subset sum of the grid chaos expansion
+        alpha, mean = (1.5, 2.0) if variant == "mean-case" else (ALPHA, None)
+        sp = ct.ChaosSpec(alpha=alpha, beta_hat=1.0, h_hat=0.3, M=M,
+                          variant=variant, mean_tau1=mean)
+        paths = [ct.sample_brownian(1.0, M, stream(57, 10 * M + i)) for i in range(2)]
+        incs = np.vstack([p.increments for p in paths])
+        ze = ct.ZEvaluator(sp, paths[0])
+        d = 1.0 / M
+        rng = stream(58, M)
+        spans = [(0.0, 1.0), (d, 1.0 - d), (0.37 * d, 1.0 - 0.45 * d),
+                 (d * (1 + 1e-10), 1.0 - 1e-10 * d), (0.5, 0.5),
+                 *np.sort(rng.uniform(0.0, 1.0, (4, 2)), axis=1)]
+        for s, t in spans:
+            want = [oracle(sp, p.increments, s, t) for p in paths]
+            assert ze.z(s, t) == pytest.approx(want[0], rel=1e-13)
+            np.testing.assert_allclose(ct.z_point_batch(sp, incs, s, t),
+                                       want, rtol=1e-13)
+        ts, zf = ze.from_0
+        np.testing.assert_allclose(
+            zf, [oracle(sp, paths[0].increments, 0.0, q) for q in ts],
+            rtol=1e-13)
+        if variant != "free":
+            ys, zt = ze.to_T
+            np.testing.assert_allclose(
+                zt, [oracle(sp, paths[0].increments, y, 1.0) for y in ys],
+                rtol=1e-13)
 
     @pytest.mark.parametrize("cells", [2.5, 3.4, 5.7, 7.5])
     def test_off_grid_ends_keep_variance(self, cells):
@@ -128,16 +160,21 @@ class TestZPoint:
 
     @pytest.mark.parametrize("s, t", [(0.7, 0.5), (0.5, 1.2), (-0.2, 0.5)])
     def test_batch_span_rejected(self, spec, path, s, t):
-        for fn in (lambda: ct._z_eval(spec, path, s, t),
+        for fn in (lambda: ct.ZEvaluator(spec, path).z(s, t),
                    lambda: ct.z_point_batch(spec, path.increments[None], s, t)):
             with pytest.raises(ValueError, match="need 0 <= s <= t <= T"):
                 fn()
 
-    def test_off_grid_scalar_matches_batch(self, spec, path):
-        ze = ct.ZEvaluator(spec, path)
-        for s, t in ((0.1234567, 0.13), (0.3, 0.30049), (0.5, 0.7777777)):
-            zb = ct.z_point_batch(spec, path.increments[None], s, t)[0]
-            assert ze.z(s, t) == pytest.approx(zb, rel=1e-14)
+    def test_off_grid_scalar_matches_batch(self):
+        M = 12
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=0.5, M=M)
+        p = ct.sample_brownian(1.0, M, stream(59))
+        ze = ct.ZEvaluator(sp, p)
+        for s, t in ((0.1234567, 0.13), (0.3, 0.50049), (0.05, 0.7777777)):
+            zb = ct.z_point_batch(sp, p.increments[None], s, t)[0]
+            want = oracle(sp, p.increments, s, t)
+            assert ze.z(s, t) == pytest.approx(want, rel=1e-13)
+            assert zb == pytest.approx(want, rel=1e-13)
         # both ends rounding to one grid point leave no cells
         assert ze.z(0.30001, 0.30002) == 1.0
 
@@ -145,7 +182,7 @@ class TestZPoint:
         sp = ct.ChaosSpec(alpha=1.5, beta_hat=0.4, variant="mean-case",
                           mean_tau1=2.0, M=64)
         p = ct.sample_brownian(1.0, 64, stream(4))
-        z = ct.z_point(sp, p, 0.0, 1.0)
+        z = ct.ZEvaluator(sp, p).z(0.0, 1.0)
         expect = np.prod(1.0 + 0.4 * p.increments / 2.0)
         assert z == pytest.approx(expect, rel=1e-12)
 
@@ -444,36 +481,45 @@ class TestMartingale:
 
     @pytest.mark.parametrize("variant", ["conditioned", "free"])
     def test_matches_per_block_scalar(self, variant):
-        # the one batched solve against a _z_eval per block, at every level
-        M = 256
-        delta = 1.0 / M
-        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=0.2, M=M,
-                          variant=variant)
-        p = ct.sample_brownian(1.0, M, stream(16))
-        ze = ct.ZEvaluator(sp, p)
-        rng = stream(17)
-        pts = np.concatenate([
-            [0.0, 1.0], rng.uniform(0, 1, 40),          # off the grid
-            delta * rng.integers(1, M, 8),              # on the grid
-            delta * (rng.integers(1, M, 4) + 1e-10),    # within 1e-9 cells
-            delta * (37 + np.array([0.1, 0.3])),        # snap to one point
-            [0.5 + 0.3 * delta, 0.5 + 0.9 * delta]])    # across a boundary
-        regen = ct.RegenSample(cs.from_points(pts, resolution=2.0 ** -10), 10)
-        for n in range(9):
-            blocks = cs.dyadic_blocks(regen.set, n, 1.0)
-            if n == 8:
-                assert np.any(blocks[:, 0] == blocks[:, 1])  # singletons
-            want = np.prod([ct._z_eval(sp, p, a, b) for a, b in blocks])
-            assert ct.martingale_fn(ze, regen, n) == pytest.approx(
-                want / ze.z0T(), rel=1e-14)
+        # the one batched solve against the chaos oracle per block, at every
+        # level: on a 12-cell grid, and on 256 cells of which 12 carry noise
+        # (with h_hat = 0 the others have zero weight)
+        sparse = np.zeros(256)
+        sparse[stream(16, 1).choice(256, 12, replace=False)] = (
+            stream(16, 2).standard_normal(12) / 16)
+        for M, h_hat, incs in ((12, 0.2, stream(16).standard_normal(12) / 4),
+                               (256, 0.0, sparse)):
+            delta = 1.0 / M
+            sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=h_hat, M=M,
+                              variant=variant)
+            p = ct.BrownianPath(1.0, M, np.concatenate([[0.0], np.cumsum(incs)]))
+            ze = ct.ZEvaluator(sp, p)
+            rng = stream(17, M)
+            pts = np.concatenate([
+                [0.0, 1.0], rng.uniform(0, 1, 40),          # off the grid
+                delta * rng.integers(1, M, 8),              # on the grid
+                delta * (rng.integers(1, M, 4) + 1e-10),    # within 1e-9 cells
+                delta * (M // 3 + np.array([0.1, 0.3])),    # snap to one point
+                [0.5 + 0.3 * delta, 0.5 + 0.9 * delta]])    # across a boundary
+            regen = ct.RegenSample(cs.from_points(pts, resolution=2.0 ** -10),
+                                   10)
+            z0t = oracle(sp, p.increments, 0.0, 1.0)
+            for n in range(9):
+                blocks = cs.dyadic_blocks(regen.set, n, 1.0)
+                if n == 8:
+                    assert np.any(blocks[:, 0] == blocks[:, 1])  # singletons
+                want = np.prod([oracle(sp, p.increments, a, b)
+                                for a, b in blocks])
+                assert ct.martingale_fn(ze, regen, n) == pytest.approx(
+                    want / z0t, rel=1e-13)
 
     def test_mean_case_spans(self):
         sp = ct.ChaosSpec(alpha=1.5, beta_hat=0.4, variant="mean-case",
-                          mean_tau1=2.0, M=64)
-        p = ct.sample_brownian(1.0, 64, stream(18))
+                          mean_tau1=2.0, M=12)
+        p = ct.sample_brownian(1.0, 12, stream(18))
         s = np.array([0.0, 0.1, 0.5, 0.52])
         t = np.array([0.3, 0.1, 0.9, 0.53])
-        want = [ct._z_eval(sp, p, a, b) for a, b in zip(s, t)]
+        want = [oracle(sp, p.increments, a, b) for a, b in zip(s, t)]
         np.testing.assert_allclose(ct._z_spans(sp, p, s, t), want, rtol=1e-14)
 
     def test_block_variance_sum(self):

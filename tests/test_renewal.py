@@ -83,8 +83,9 @@ class TestRenewalFunction:
         assert np.all(rf_075.u > 0) and np.all(rf_075.u <= 1)
 
     def test_cdq_matches_direct(self, kernel_075):
-        ud = rn.renewal_function(kernel_075, 3000, method="direct").u
-        uc = rn.renewal_function(kernel_075, 3000, method="cdq").u
+        # 3000 indices: one solve, against halving down to 128-index solves
+        ud = rn.renewal_function(kernel_075, 3000).u
+        uc = rn._renewal_u_cdq(kernel_075.k, 3000, base=128)
         assert np.max(np.abs(ud - uc)) < 1e-10
 
     def test_horizon_beyond_kernel_rejected(self, kernel_075):

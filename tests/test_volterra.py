@@ -9,7 +9,9 @@ from pinning_lab import continuum as ct
 from pinning_lab import discrete_pinning as dp
 from pinning_lab import renewal as rn
 from pinning_lab.rng import stream
-from pinning_lab.volterra import BLOCK, renewal_solve_batch
+from pinning_lab.volterra import BLOCK, TRI_RATIO, renewal_solve_batch
+
+from chaos_oracle import chaos_oracle as oracle
 
 
 def naive_solve(k, f, c):
@@ -24,14 +26,23 @@ def naive_solve(k, f, c):
     return x
 
 
+# the block step is triangular for R <= TRI (BLOCK = 64 here), a loop above
+TRI = BLOCK // TRI_RATIO
+
+
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(1, 2 * BLOCK + 3), R=st.integers(1, 4),
+@given(n=st.integers(1, 2 * BLOCK + 3), R=st.integers(1, 2 * TRI + 2),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(n=1, R=1, seed=0)
+@example(n=1, R=TRI + 1, seed=5)
 @example(n=BLOCK - 1, R=3, seed=1)
 @example(n=BLOCK, R=2, seed=2)
 @example(n=2 * BLOCK, R=1, seed=3)
 @example(n=BLOCK + 1, R=5, seed=4)
+@example(n=BLOCK + 1, R=TRI, seed=6)
+@example(n=BLOCK + 1, R=TRI + 1, seed=7)
+@example(n=2 * BLOCK + 3, R=TRI, seed=8)
+@example(n=2 * BLOCK + 3, R=TRI + 1, seed=9)
 def test_matches_naive_loop(n, R, seed):
     rng = np.random.default_rng(seed)
     k = rng.random(n + 1)
@@ -45,22 +56,26 @@ def test_matches_naive_loop(n, R, seed):
 
 @pytest.mark.parametrize("log_c", [20.0, 40.0, 650.0])
 def test_scaled_solve_matches_log_domain(log_c):
-    # large weights take short blocks and rescales; compare in logs with a
-    # log-domain version of the naive loop
-    n, R = 150, 2
+    # large weights take short blocks (28, 14 and 1 index) and rescales;
+    # compare in logs with a log-domain version of the naive loop. One
+    # replica takes the triangular block step at log_c = 20 and 40, eight
+    # the loop.
+    n = 150
     rng = np.random.default_rng(7)
-    k = np.r_[np.nan, rng.random(n)]
+    k = np.r_[np.nan, rng.random(n)]  # k[0] is never read
     k[1:] /= k[1:].sum()
     f = k[1:]
-    logc = log_c - rng.random((n, R))
-    x, e = renewal_solve_batch(k, f, np.exp(logc))
-    assert e[-1].min() > 0
-    logx = np.empty((n, R))
-    for j in range(n):
-        t = np.vstack([np.full(R, np.log(f[j])),
-                       np.log(k[j:0:-1])[:, None] + logx[:j]])
-        logx[j] = logc[j] + np.logaddexp.reduce(t, axis=0)
-    np.testing.assert_allclose(np.log(x) + e * np.log(2.0), logx, rtol=1e-13)
+    for R in (1, 8):
+        logc = log_c - rng.random((n, R))
+        x, e = renewal_solve_batch(k, f, np.exp(logc))
+        assert np.isfinite(x).all() and e[-1].min() > 0
+        logx = np.empty((n, R))
+        for j in range(n):
+            t = np.vstack([np.full(R, np.log(f[j])),
+                           np.log(k[j:0:-1])[:, None] + logx[:j]])
+            logx[j] = logc[j] + np.logaddexp.reduce(t, axis=0)
+        np.testing.assert_allclose(np.log(x) + e * np.log(2.0), logx,
+                                   rtol=1e-13)
 
 
 @pytest.fixture(scope="module")
@@ -98,13 +113,19 @@ def test_discrete_batch_matches_chaos_expansion(kernel, rf):
 @pytest.mark.parametrize("variant", ["conditioned", "free"])
 @pytest.mark.parametrize("cells", [63, 64, 65, 130])
 def test_continuum_batch_matches_scalar_off_grid(variant, cells):
+    # spans across one and two block boundaries, batched on both sides of
+    # the triangular rule, against the chaos oracle; with h_hat = 0 only the
+    # cells given noise enter the oracle's subset sum
     M = 512
-    sp = ct.ChaosSpec(alpha=0.75, beta_hat=1.0, h_hat=0.3, M=M,
-                      variant=variant)
-    paths = [ct.sample_brownian(1.0, M, stream(33, i)) for i in range(3)]
-    incs = np.vstack([p.increments for p in paths])
+    sp = ct.ChaosSpec(alpha=0.75, beta_hat=1.0, M=M, variant=variant)
     s = 0.1234567
     t = s + (cells + 0.3) / M
-    zb = ct.z_point_batch(sp, incs, s, t)
-    for p, z in zip(paths, zb):
-        assert z == pytest.approx(ct._z_eval(sp, p, s, t), rel=1e-14)
+    i0 = round(s * M)
+    noisy = i0 + np.array([0, 1, 31, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1,
+                           cells - 2, cells - 1, cells])
+    for R in (3, TRI + 2):
+        incs = np.zeros((R, M))
+        incs[:, noisy] = stream(33, R).standard_normal((R, len(noisy))) / 20
+        zb = ct.z_point_batch(sp, incs, s, t)
+        want = [oracle(sp, inc, s, t) for inc in incs]
+        np.testing.assert_allclose(zb, want, rtol=1e-13)
