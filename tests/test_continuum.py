@@ -118,7 +118,8 @@ class TestZPoint:
         alpha, mean = (1.5, 2.0) if variant == "mean-case" else (ALPHA, None)
         sp = ct.ChaosSpec(alpha=alpha, beta_hat=1.0, h_hat=0.3, M=M,
                           variant=variant, mean_tau1=mean)
-        paths = [ct.sample_brownian(1.0, M, stream(57, 10 * M + i)) for i in range(2)]
+        paths = [ct.sample_brownian(1.0, M, stream(57, 10 * M + i))
+                 for i in range(2)]
         incs = np.vstack([p.increments for p in paths])
         ze = ct.ZEvaluator(sp, paths[0])
         d = 1.0 / M
@@ -492,7 +493,8 @@ class TestMartingale:
             delta = 1.0 / M
             sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=h_hat, M=M,
                               variant=variant)
-            p = ct.BrownianPath(1.0, M, np.concatenate([[0.0], np.cumsum(incs)]))
+            p = ct.BrownianPath(1.0, M,
+                                np.concatenate([[0.0], np.cumsum(incs)]))
             ze = ct.ZEvaluator(sp, p)
             rng = stream(17, M)
             pts = np.concatenate([
