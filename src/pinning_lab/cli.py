@@ -145,12 +145,13 @@ def _cmd_continuum_z(args, seed):
                         h_hat=args.h_hat, T=args.T, M=args.M)
     path = ct.sample_brownian(args.T, args.M, stream(seed, 0))
     ze = ct.ZEvaluator(spec, path)
-    ts, prof = ct.z_profile_from(spec, path, 0.0)
+    ts, prof = ze.from_0
+    z0t = ze.z0T()
     payload = {"alpha": args.alpha, "beta_hat": args.beta_hat,
                "h_hat": args.h_hat, "T": args.T, "M": args.M,
-               "Z_0T": ze.z0T()}
+               "Z_0T": z0t}
     rows = list(zip(ts, prof))
-    return (0 if ze.z0T() > 0 else 2), payload, [
+    return (0 if z0t > 0 else 2), payload, [
         ("z_profile", ["t", "Z"], rows)]
 
 

@@ -115,23 +115,14 @@ def _gap_factors(alpha: float, delta: float, n: int) -> np.ndarray:
     return stable_constant(alpha) * delta ** (alpha - 1.0) * kg
 
 
-def _edge_factors(alpha: float, anchor: float, edges: np.ndarray,
-                  delta: float, with_c: bool) -> np.ndarray:
-    """Exact cell averages of (x - anchor)^(alpha-1) over cells bounded by
-    the edge array sorted along axis 0 (n+1 rows for n cells)."""
-    # clamp: the grid-slack in _snap can put the first edge a rounding
-    # error below the anchor
-    p = np.maximum(edges - anchor, 0.0) ** alpha
-    out = (p[1:] - p[:-1]) / (alpha * delta)
-    return out * stable_constant(alpha) if with_c else out
-
-
-def _terminal_factors(alpha: float, t: float, edges: np.ndarray,
-                      delta: float) -> np.ndarray:
-    """Exact cell averages of (t - x)^(alpha-1)."""
-    p = np.maximum(t - edges, 0.0) ** alpha
-    out = (p[:-1] - p[1:]) / (alpha * delta)
-    return out
+def _cell_avg(alpha: float, dist: np.ndarray, delta: float) -> np.ndarray:
+    """Exact averages of |x - anchor|^(alpha-1) over the cells whose edges
+    lie at the distances dist from the anchor, monotone along axis 0 (n+1
+    rows for n cells)."""
+    # clamp: the grid-slack in _snap can put an edge a rounding error past
+    # the anchor
+    p = np.maximum(dist, 0.0) ** alpha
+    return np.abs(np.diff(p, axis=0)) / (alpha * delta)
 
 
 def _snap(x, delta: float):
@@ -148,6 +139,14 @@ def _snap(x, delta: float):
     return np.where(np.abs(r - i) <= 1e-9, x, i * delta), i
 
 
+def _ends(spec: ChaosSpec, s, t, delta: float):
+    """(s, i0, t, i1): the ends 0 <= s <= t <= T, scalars or arrays, each
+    snapped to the grid (_snap) with its grid index."""
+    if not np.all((0.0 <= s) & (s <= t) & (t <= spec.T + 1e-12)):
+        raise ValueError("need 0 <= s <= t <= T")
+    return *_snap(s, delta), *_snap(t, delta)
+
+
 def z_point_batch(spec: ChaosSpec, increments: np.ndarray,
                   s: float, t: float) -> np.ndarray:
     """Z(s, t) for many independent paths at once.
@@ -156,11 +155,10 @@ def z_point_batch(spec: ChaosSpec, increments: np.ndarray,
     recursion for all of them. Off-grid ends follow the nearest-grid-point
     rule of _snap.
     """
-    if not 0.0 <= s <= t <= spec.T + 1e-12:
-        raise ValueError("need 0 <= s <= t <= T")
+    if increments.shape[1] != spec.M:
+        raise ValueError(f"need increments of shape (R, {spec.M})")
     delta = spec.T / spec.M
-    s, i0 = _snap(s, delta)
-    t, i1 = _snap(t, delta)
+    s, i0, t, i1 = _ends(spec, s, t, delta)
     if i1 <= i0:
         return np.ones(increments.shape[0])
     c = spec.beta_hat * increments[:, i0:i1].T + spec.h_hat * delta  # (n, R)
@@ -174,11 +172,8 @@ def _z_spans(spec: ChaosSpec, path: BrownianPath, s: np.ndarray,
     longest. An end off the grid moves to its nearest grid point (_snap);
     ends on the grid are used as given, and a span that snaps to no cell
     is 1."""
-    if not np.all((0.0 <= s) & (s <= t) & (t <= spec.T + 1e-12)):
-        raise ValueError("need 0 <= s <= t <= T")
     delta = path.delta
-    s, i0 = _snap(s, delta)
-    t, i1 = _snap(t, delta)
+    s, i0, t, i1 = _ends(spec, s, t, delta)
     n = i1 - i0
     z = np.ones(len(n))
     live = n > 0
@@ -191,23 +186,29 @@ def _z_spans(spec: ChaosSpec, path: BrownianPath, s: np.ndarray,
     return z
 
 
+def _forward(spec: ChaosSpec, delta: float, c: np.ndarray,
+             dist: np.ndarray) -> np.ndarray:
+    """Forward coefficients A (L, R) of the chaos recursion for the cell
+    weights c (L, R), the cells' edges at the distances dist (L+1 rows)
+    from the left end, by one renewal_solve_batch call."""
+    kg = _gap_factors(spec.alpha, delta, c.shape[0])
+    ef = stable_constant(spec.alpha) * _cell_avg(spec.alpha, dist, delta)
+    return np.ldexp(*renewal_solve_batch(kg, ef, c))
+
+
 def _z_cells(spec: ChaosSpec, delta: float, c: np.ndarray, s, t,
              i0) -> np.ndarray:
     """Z over spans of L = len(c) grid cells from grid index i0, one span
-    per column of the cell weights c (L, R), by one renewal_solve_batch
-    call. s, t and i0 are shared scalars or (R,) arrays; cells past the end
-    of a shorter span carry c = 0, which leaves its value unchanged."""
+    per column of the cell weights c (L, R). s, t and i0 are shared scalars
+    or (R,) arrays; cells past the end of a shorter span carry c = 0, which
+    leaves its value unchanged."""
     if spec.variant == "mean-case":
         return np.prod(1.0 + c / spec.mean_tau1, axis=0)
-    L = c.shape[0]
-    edges = delta * (i0 + np.arange(L + 1)[:, None])
-    kg = _gap_factors(spec.alpha, delta, L)
-    ef = _edge_factors(spec.alpha, s, edges, delta, with_c=True)
-    A, e = renewal_solve_batch(kg, ef, c)
-    A = np.ldexp(A, e)
+    edges = delta * (i0 + np.arange(c.shape[0] + 1)[:, None])
+    A = _forward(spec, delta, c, edges - s)
     if spec.variant == "free":
         return 1.0 + A.sum(axis=0)
-    tf = _terminal_factors(spec.alpha, t, edges, delta)
+    tf = _cell_avg(spec.alpha, t - edges, delta)
     return 1.0 + (t - s) ** (1.0 - spec.alpha) * np.einsum("jr,jr->r", tf, A)
 
 
@@ -218,68 +219,49 @@ def _tavg_base(alpha: float, delta: float, n: int) -> np.ndarray:
     return delta ** (alpha - 1.0) * ((d + 1.0) ** alpha - d ** alpha) / alpha
 
 
-def z_profile_from(spec: ChaosSpec, path: BrownianPath,
-                   s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Z(s, t) for every grid point t >= s in one pass.
+def _profile(spec: ChaosSpec, c: np.ndarray, dist: np.ndarray,
+             delta: float) -> np.ndarray:
+    """Z from the left end to each of the n+1 edges of the cells with
+    weights c (n,), whose edges lie at the distances dist from that end.
 
-    The forward coefficients A do not depend on t, so a single O(M^2)
-    recursion plus one convolution yields the whole right profile.
-    Returns (grid times, values).
-    """
-    delta = path.delta
-    s, i0 = _snap(s, delta)
-    n = spec.M - i0
-    ts = delta * np.arange(i0, spec.M + 1)
-    if n <= 0:
-        return ts, np.ones(len(ts))
-    c = spec.beta_hat * path.increments[i0:] + spec.h_hat * delta
+    The forward coefficients A do not depend on the right end, so one
+    recursion plus one convolution yields the whole profile."""
+    n = len(c)
+    if n == 0:
+        return np.ones(1)
     if spec.variant == "mean-case":
-        z = np.concatenate([[1.0], np.cumprod(1.0 + c / spec.mean_tau1)])
-        return ts, z
-    edges = delta * np.arange(i0, spec.M + 1)
-    kg = _gap_factors(spec.alpha, delta, n)
-    ef = _edge_factors(spec.alpha, s, edges, delta, with_c=True)
-    A = np.ldexp(*renewal_solve_batch(kg, ef, c[:, None]))[:, 0]
+        return np.concatenate([[1.0], np.cumprod(1.0 + c / spec.mean_tau1)])
+    A = _forward(spec, delta, c[:, None], dist)[:, 0]
     if spec.variant == "free":
-        return ts, np.concatenate([[1.0], 1.0 + np.cumsum(A)])
+        return np.concatenate([[1.0], 1.0 + np.cumsum(A)])
     tavg = _tavg_base(spec.alpha, delta, n)
     S = fftconvolve(A, tavg)[:n]  # S[m] = sum_{l<=m} A[l] tavg[m-l]
-    z = np.empty(n + 1)
-    z[0] = 1.0
-    z[1:] = 1.0 + (ts[1:] - s) ** (1.0 - spec.alpha) * S
-    return ts, z
+    return np.concatenate([[1.0], 1.0 + dist[1:] ** (1.0 - spec.alpha) * S])
+
+
+def z_profile_from(spec: ChaosSpec, path: BrownianPath,
+                   s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Z(s, t) for every grid point t >= s, as (grid times, values)."""
+    delta = path.delta
+    s, i0, _, _ = _ends(spec, s, spec.T, delta)
+    ts = delta * np.arange(i0, spec.M + 1)
+    c = spec.beta_hat * path.increments[i0:] + spec.h_hat * delta
+    return ts, _profile(spec, c, ts - s, delta)
 
 
 def z_profile_to(spec: ChaosSpec, path: BrownianPath,
                  t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Z(y, t) for every grid point y <= t, by the mirrored recursion."""
-    delta = path.delta
-    t, i1 = _snap(t, delta)
-    n = i1
-    ys = delta * np.arange(0, i1 + 1)
-    if n <= 0:
-        return ys, np.ones(len(ys))
-    c = spec.beta_hat * path.increments[:i1] + spec.h_hat * delta
-    if spec.variant == "mean-case":
-        z = np.concatenate([np.cumprod((1.0 + c / spec.mean_tau1)[::-1])[::-1],
-                            [1.0]])
-        return ys, z
+    """Z(y, t) for every grid point y <= t, as (grid times, values). The
+    conditioned chaos kernel is symmetric under time reversal, so this is
+    the profile of the cells before t taken in reverse order."""
     if spec.variant == "free":
-        # free variant has no terminal factor; fall back to per-point passes
         raise NotImplementedError("left profile implemented for the "
                                   "conditioned variant")
-    edges = delta * np.arange(0, i1 + 1)
-    kg = _gap_factors(spec.alpha, delta, n)
-    tf = _terminal_factors(spec.alpha, t, edges, delta)
-    # E[j] = c[j] (tf[j] + sum_{i>j} kg[i-j] E[i]): the recursion reversed
-    E = np.ldexp(*renewal_solve_batch(kg, tf[::-1], c[::-1, None]))[::-1, 0]
-    tavg = stable_constant(spec.alpha) * _tavg_base(spec.alpha, delta, n)
-    # Z(y_p, t) = 1 + (t-y_p)^(1-a) sum_{j>=p} tavg[j-p] E[j]
-    S = fftconvolve(E[::-1], tavg)[:n][::-1]
-    z = np.empty(n + 1)
-    z[n] = 1.0
-    z[:n] = 1.0 + (t - ys[:n]) ** (1.0 - spec.alpha) * S
-    return ys, z
+    delta = path.delta
+    _, _, t, i1 = _ends(spec, 0.0, t, delta)
+    ys = delta * np.arange(i1 + 1)
+    c = spec.beta_hat * path.increments[:i1] + spec.h_hat * delta
+    return ys, _profile(spec, c[::-1], t - ys[::-1], delta)[::-1]
 
 
 class ZEvaluator:

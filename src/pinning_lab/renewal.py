@@ -36,15 +36,12 @@ class KernelError(ValueError):
 class SlowlyVarying:
     """Pointwise evaluator for the slowly varying factor L(n).
 
-    kind is one of "constant", "log-power" (L(n) = log(e + n)^power) or
-    "tabulated" (values interpolated on a stored grid, constant beyond it).
+    kind is "constant" or "log-power" (L(n) = value log(e + n)^power).
     """
 
     kind: str = "constant"
     value: float = 1.0
     power: float = 0.0
-    grid: np.ndarray | None = None
-    table: np.ndarray | None = None
 
     def __call__(self, n):
         n = np.asarray(n, dtype=float)
@@ -52,8 +49,6 @@ class SlowlyVarying:
             return np.full_like(n, self.value)
         if self.kind == "log-power":
             return self.value * np.log(np.e + n) ** self.power
-        if self.kind == "tabulated":
-            return np.interp(n, self.grid, self.table)
         raise KernelError(f"unknown slowly-varying kind {self.kind!r}")
 
 

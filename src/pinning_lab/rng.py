@@ -21,7 +21,3 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
     return np.random.Generator(np.random.Philox(ss))
 
-
-def substreams(seed: int, n: int, base: int = 0) -> list[np.random.Generator]:
-    """n independent streams with ids base..base+n-1."""
-    return [stream(seed, base + i) for i in range(n)]

@@ -166,6 +166,49 @@ class TestZPoint:
             with pytest.raises(ValueError, match="need 0 <= s <= t <= T"):
                 fn()
 
+    @pytest.mark.parametrize("fn, end", [
+        (ct.z_profile_from, -0.5), (ct.z_profile_from, 1.5),
+        (ct.z_profile_to, -0.5), (ct.z_profile_to, 1.5)])
+    def test_profile_end_rejected(self, fn, end):
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=0.5, M=64)
+        p = ct.sample_brownian(1.0, 64, stream(60))
+        with pytest.raises(ValueError, match="need 0 <= s <= t <= T"):
+            fn(sp, p, end)
+
+    @pytest.mark.parametrize("width", [32, 128])
+    def test_batch_width_rejected(self, width):
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=0.5, M=64)
+        incs = stream(61).standard_normal((3, width)) / 8.0
+        with pytest.raises(ValueError, match=r"shape \(R, 64\)"):
+            ct.z_point_batch(sp, incs, 0.0, 0.5)
+
+    @pytest.mark.parametrize("variant", ["conditioned", "free", "mean-case"])
+    def test_profiles_over_empty_span(self, variant):
+        alpha, mean = (1.5, 2.0) if variant == "mean-case" else (ALPHA, None)
+        sp = ct.ChaosSpec(alpha=alpha, beta_hat=1.0, h_hat=0.3, M=64,
+                          variant=variant, mean_tau1=mean)
+        p = ct.sample_brownian(1.0, 64, stream(62))
+        ts, z = ct.z_profile_from(sp, p, 1.0)
+        assert ts.tolist() == [1.0] and z.tolist() == [1.0]
+        if variant != "free":
+            ys, z = ct.z_profile_to(sp, p, 0.0)
+            assert ys.tolist() == [0.0] and z.tolist() == [1.0]
+
+    @pytest.mark.parametrize("M", [16, 512])
+    def test_time_reversal(self, M):
+        # the conditioned chaos kernel is symmetric under time reversal:
+        # Z(s, t) on reversed increments is Z(T - t, T - s) on the originals.
+        # Grid points are exact doubles here: an end a rounding error below
+        # a grid point moves Z by about (error / delta)^alpha
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=0.3, T=2.0, M=M)
+        d = sp.T / M
+        incs = stream(63, M).standard_normal((4, M)) * np.sqrt(d)
+        for s, t in ((0.0, 2.0), (0.5, 1.5), (3 * d, 2.0 - 5 * d),
+                     (0.37 * d, 2.0 - 0.2 * d), (0.1234567, 1.7777777)):
+            np.testing.assert_allclose(
+                ct.z_point_batch(sp, incs[:, ::-1], s, t),
+                ct.z_point_batch(sp, incs, sp.T - t, sp.T - s), rtol=1e-13)
+
     def test_off_grid_scalar_matches_batch(self):
         M = 12
         sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=0.5, M=M)
