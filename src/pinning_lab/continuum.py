@@ -147,6 +147,11 @@ def _ends(spec: ChaosSpec, s, t, delta: float):
     return *_snap(s, delta), *_snap(t, delta)
 
 
+def _check_grid(spec: ChaosSpec, path: BrownianPath) -> None:
+    if abs(spec.T - path.T) > 1e-12 or spec.M != path.M:
+        raise ValueError("spec and path disagree on the grid")
+
+
 def z_point_batch(spec: ChaosSpec, increments: np.ndarray,
                   s: float, t: float) -> np.ndarray:
     """Z(s, t) for many independent paths at once.
@@ -172,6 +177,7 @@ def _z_spans(spec: ChaosSpec, path: BrownianPath, s: np.ndarray,
     longest. An end off the grid moves to its nearest grid point (_snap);
     ends on the grid are used as given, and a span that snaps to no cell
     is 1."""
+    _check_grid(spec, path)
     delta = path.delta
     s, i0, t, i1 = _ends(spec, s, t, delta)
     n = i1 - i0
@@ -242,6 +248,7 @@ def _profile(spec: ChaosSpec, c: np.ndarray, dist: np.ndarray,
 def z_profile_from(spec: ChaosSpec, path: BrownianPath,
                    s: float) -> tuple[np.ndarray, np.ndarray]:
     """Z(s, t) for every grid point t >= s, as (grid times, values)."""
+    _check_grid(spec, path)
     delta = path.delta
     s, i0, _, _ = _ends(spec, s, spec.T, delta)
     ts = delta * np.arange(i0, spec.M + 1)
@@ -257,6 +264,7 @@ def z_profile_to(spec: ChaosSpec, path: BrownianPath,
     if spec.variant == "free":
         raise NotImplementedError("left profile implemented for the "
                                   "conditioned variant")
+    _check_grid(spec, path)
     delta = path.delta
     _, _, t, i1 = _ends(spec, 0.0, t, delta)
     ys = delta * np.arange(i1 + 1)
@@ -269,8 +277,7 @@ class ZEvaluator:
     each a (grid times, values) pair, are computed once, on first use."""
 
     def __init__(self, spec: ChaosSpec, path: BrownianPath):
-        if abs(spec.T - path.T) > 1e-12 or spec.M != path.M:
-            raise ValueError("spec and path disagree on the grid")
+        _check_grid(spec, path)
         self.spec = spec
         self.path = path
 

@@ -11,6 +11,7 @@ conditioned Gibbs measure exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,9 +224,16 @@ class PinnedSampler:
     w_j V(j) at j = N - m, with w_0 = w_N = 1, from one backward solve.
     The transition law from i is P(next = j) proportional to K(j-i) w_j V(j),
     normalized by V(i); its CDF is built when a draw first visits i, then
-    kept. underflow is set when some point i < N has w_i V(i) = 0 in
-    floating point; such a point is never visited, and if it is 0 itself,
-    sample raises FloatingPointError.
+    kept in rows as a memoryview of the array (row returns the array), and
+    a step finds the next point by bisect on that view. underflow is set
+    when some point i < N has w_i V(i) = 0 in floating point; such a point
+    is never visited, and if it is 0 itself, sample raises
+    FloatingPointError.
+
+    sample draws its uniforms from rng in blocks, then rewinds the
+    generator, so that it ends exactly as after one scalar rng.random() per
+    step: len(points) - 1 of them, or, when a row raises, one per step
+    taken before it.
     """
 
     N: int
@@ -237,22 +245,44 @@ class PinnedSampler:
 
     def row(self, i: int) -> np.ndarray:
         """CDF of the next point over j = i+1..N."""
-        cdf = self.rows.get(i)
-        if cdf is None:
+        return self._view(i).obj
+
+    def _view(self, i: int) -> memoryview:
+        """The row from i as a memoryview of its CDF, built on first use."""
+        view = self.rows.get(i)
+        if view is None:
             top = self.N - i - 1  # m = N - j runs from top down to 0
-            cdf = np.cumsum(self.k[1:top + 2] * np.ldexp(
-                self.mass[top::-1], self.exp2[top::-1] - self.exp2[top]))
+            w = self.mass[top::-1]
+            # exp2 is non-decreasing, so equal ends mean a zero shift
+            if self.exp2[top] != self.exp2[0]:
+                w = np.ldexp(w, self.exp2[top::-1] - self.exp2[top])
+            cdf = np.cumsum(self.k[1:top + 2] * w)
             if not cdf[-1] > 0:
                 raise FloatingPointError(f"zero backward mass at point {i}")
             cdf /= cdf[-1]
-            self.rows[i] = cdf
-        return cdf
+            view = self.rows[i] = memoryview(cdf)
+        return view
 
     def sample(self, rng: np.random.Generator) -> ClosedSetR:
-        pts = [0]
-        while pts[-1] < self.N:
-            i = pts[-1]
-            pts.append(int(np.searchsorted(self.row(i), rng.random())) + i + 1)
+        N, bg = self.N, rng.bit_generator
+        # a path takes at most N steps, one uniform each: they are drawn in
+        # blocks of min(N, 32), 64, 128, ..., and the generator is then
+        # rewound to draw just the n used, also when a row raises
+        start = bg.state
+        us, block, pts, i, n = [], min(N, 32), [0], 0, 0
+        try:
+            while i < N:
+                view = self._view(i)
+                if n == len(us):
+                    us += rng.random(block).tolist()
+                    block *= 2
+                # on a non-decreasing CDF, searchsorted(side="left")
+                i += bisect_left(view, us[n]) + 1
+                n += 1
+                pts.append(i)
+        finally:
+            bg.state = start
+            rng.random(n)
         return ClosedSetR(np.array(pts, dtype=float), resolution=1.0)
 
 

@@ -13,6 +13,7 @@ t conditioned on N in tau, and samples renewal point sets.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -529,15 +530,16 @@ def sample_renewal(kernel: RenewalKernel, N: int,
     is the pinned sampler of discrete_pinning with zero coupling.)"""
     if N > kernel.n_max and kernel.survival[kernel.n_max] > 1e-15:
         raise KernelError("horizon exceeds the tabulated kernel range")
-    cdf = np.cumsum(kernel.k[1:N + 1])
+    cdf = memoryview(np.cumsum(kernel.k[1:N + 1]))
+    last = cdf[-1] if len(cdf) else 0.0
     pts = [0]
     pos = 0
     while pos < N:
         # a draw beyond cdf[-1] is a gap past the horizon
         x = rng.random()
-        if x > cdf[-1]:
+        if x > last:
             break
-        gap = int(np.searchsorted(cdf, x)) + 1
+        gap = bisect_left(cdf, x) + 1
         if pos + gap > N:
             break
         pos += gap

@@ -182,6 +182,18 @@ class TestZPoint:
         with pytest.raises(ValueError, match=r"shape \(R, 64\)"):
             ct.z_point_batch(sp, incs, 0.0, 0.5)
 
+    @pytest.mark.parametrize("cells", [32, 128])
+    def test_path_grid_rejected(self, cells):
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=0.5, M=64)
+        p = ct.sample_brownian(1.0, cells, stream(63))
+        for call in (lambda: ct.z_profile_from(sp, p, 0.0),
+                     lambda: ct.z_profile_to(sp, p, 1.0),
+                     lambda: ct._z_spans(sp, p, np.array([0.0]),
+                                         np.array([0.5])),
+                     lambda: ct.ZEvaluator(sp, p)):
+            with pytest.raises(ValueError, match="disagree on the grid"):
+                call()
+
     @pytest.mark.parametrize("variant", ["conditioned", "free", "mean-case"])
     def test_profiles_over_empty_span(self, variant):
         alpha, mean = (1.5, 2.0) if variant == "mean-case" else (ALPHA, None)

@@ -307,7 +307,84 @@ class TestSampler:
         s = dp.build_pinned_sampler(k, d, 0.0, -800.0, 4)
         assert s.underflow
         assert s.underflow == bool(np.any(s.mass[1:] == 0))
+        rng = stream(36)
         with pytest.raises(FloatingPointError, match="point 0"):
-            s.sample(stream(36))
+            s.sample(rng)
+        assert rng.random() == stream(36).random()  # no uniform used
         s = dp.build_pinned_sampler(k, d, 0.0, -3.0, 4)
         assert not s.underflow and np.all(s.mass[1:] > 0)
+
+
+def _reference_row(s, i):
+    # the row formula with the ldexp shift taken on every row
+    top = s.N - i - 1
+    cdf = np.cumsum(s.k[1:top + 2] * np.ldexp(s.mass[top::-1],
+                                              s.exp2[top::-1] - s.exp2[top]))
+    if not cdf[-1] > 0:
+        raise FloatingPointError(f"zero backward mass at point {i}")
+    return cdf / cdf[-1]
+
+
+def _reference_sample(s, rng):
+    # one scalar rng.random() and one np.searchsorted per step
+    pts = [0]
+    while pts[-1] < s.N:
+        i = pts[-1]
+        pts.append(int(np.searchsorted(_reference_row(s, i), rng.random()))
+                   + i + 1)
+    return np.array(pts, dtype=float)
+
+
+def _advanced(seed, n):
+    rng = stream(seed)
+    for _ in range(n):
+        rng.random()
+    return rng
+
+
+class TestSamplerStream:
+    """Draws, rows and generator use equal the scalar per-step loop."""
+
+    @pytest.mark.parametrize("N, beta, h, n_draw", [
+        (2, 0.0, 0.0, 50), (8, 0.7, 0.3, 200), (4096, 0.0, 0.0, 6)])
+    def test_uniforms_consumed(self, kernel, N, beta, h, n_draw):
+        # sample uses exactly len(points) - 1 uniforms of its generator
+        d = dp.sample_disorder("standard-normal", N - 1, stream(37))
+        s = dp.build_pinned_sampler(kernel, d, beta, h, N)
+        rng = stream(38)
+        steps = [len(s.sample(rng)) - 1 for _ in range(n_draw)]
+        if N == 4096:
+            assert min(steps) > 32  # every path runs past the first block
+        assert rng.random() == _advanced(38, sum(steps)).random()
+
+    def test_raise_partway_leaves_steps_taken(self):
+        # hand-made masses: 0 -> 1 surely, then the row of 1 is all zero
+        k = np.array([0.0, 0.5, 0.5, 0.0, 0.0])
+        s = dp.PinnedSampler(N=4, k=k, mass=np.array([1.0, 0.0, 0.0, 1.0, 1.0]),
+                             exp2=np.zeros(5, dtype=np.int64), underflow=True)
+        rng, ref = stream(39), stream(39)
+        with pytest.raises(FloatingPointError, match="point 1"):
+            s.sample(rng)
+        with pytest.raises(FloatingPointError, match="point 1"):
+            _reference_sample(s, ref)
+        assert rng.random() == ref.random() == _advanced(39, 1).random()
+
+    @pytest.mark.parametrize("N, beta_hat, h", [
+        (2048, 0.0, 0.0), (512, 0.5, 0.0), (1024, 0.0, 50.0)])
+    def test_matches_scalar_loop(self, kernel, N, beta_hat, h):
+        d = dp.sample_disorder("standard-normal", N - 1, stream(40))
+        beta = (dp.scale_couplings(beta_hat, 0.0, N, kernel).beta_N
+                if beta_hat else 0.0)
+        s = dp.build_pinned_sampler(kernel, d, beta, h, N)
+        # rows near N take no shift; at h = 50 the rows further back do
+        assert s.exp2[1] == 0 and (s.exp2[-1] > 0) == (h > 0)
+        rng, ref = stream(41), stream(41)
+        for _ in range(8):
+            np.testing.assert_array_equal(s.sample(rng).points,
+                                          _reference_sample(s, ref))
+        assert rng.random() == ref.random()
+        assert len(s.rows) > 8
+        for i in s.rows:
+            row = s.row(i)
+            assert isinstance(row, np.ndarray)
+            np.testing.assert_array_equal(row, _reference_row(s, i))

@@ -176,7 +176,35 @@ def _conditioned_sampler(kernel, N):
     return dp.build_pinned_sampler(kernel, free, 0.0, 0.0, N)
 
 
+def _reference_renewal(kernel, N, rng):
+    # one scalar rng.random() and one np.searchsorted per step
+    cdf = np.cumsum(kernel.k[1:N + 1])
+    pts = [0]
+    pos = 0
+    while pos < N:
+        x = rng.random()
+        if x > cdf[-1]:
+            break
+        gap = int(np.searchsorted(cdf, x)) + 1
+        if pos + gap > N:
+            break
+        pos += gap
+        pts.append(pos)
+    return np.array(pts, dtype=np.int64)
+
+
 class TestSampling:
+    @pytest.mark.parametrize("N", [1, 2, 50, 1000])
+    def test_matches_scalar_loop(self, kernel_075, N):
+        # both ends of a path: a draw past cdf[-1] and a gap past N
+        rng, ref = stream(4, N), stream(4, N)
+        for _ in range(200):
+            pts = rn.sample_renewal(kernel_075, N, rng)
+            np.testing.assert_array_equal(pts, _reference_renewal(
+                kernel_075, N, ref))
+            assert pts.dtype == np.int64
+        assert rng.random() == ref.random()
+
     def test_degenerate_kernel_full_set(self):
         with pytest.warns(UserWarning):
             k = rn.build_kernel(rn.KernelSpec("explicit", probs=(1.0 - 1e-15,),
