@@ -269,13 +269,30 @@ def _batched_z(spec: ct.ChaosSpec, increments: np.ndarray,
                chunk: int = 250) -> np.ndarray:
     """z_point_batch over (0, T) in replica chunks.
 
-    Chunk size matters little to the blocked solver: at M = 4096, 2500
-    replicas took 1.9-2.2 s in chunks of 250 and 1.6-1.8 s in one chunk."""
+    The chunks bound memory, not time: the solver holds c, x and e, about
+    24 bytes per replica and cell, so one call of R = 10,000 at M = 4096
+    would hold about 1 GB. At M = 4096, 2500 replicas took 1.9-2.2 s in
+    chunks of 250 and 1.6-1.8 s in one chunk."""
     out = []
     for i in range(0, increments.shape[0], chunk):
         out.append(ct.z_point_batch(spec, increments[i:i + chunk],
                                     0.0, spec.T))
     return np.concatenate(out)
+
+
+def _cdpm_draws(spec: ct.ChaosSpec, t1: float, grid: int, R: int, n: int,
+                rng: np.random.Generator):
+    """R environments, each followed in the stream by the 3 n uniforms of its
+    n quenched (g_t1, d_t1) draws; then one sampler over all of them.
+    Returns (sampler, zeval, path, (R, n, 2) draws)."""
+    ws, us = [], []
+    for _ in range(R):
+        ws.append(ct.sample_brownian(spec.T, spec.M, rng).w)
+        us.append(rng.random((3, n)))
+    path = ct.BrownianPath(spec.T, spec.M, np.array(ws))
+    ze = ct.ZEvaluator(spec, path)
+    sampler = ct.CdpmFddSampler(ze, t1, grid=grid)
+    return sampler, ze, path, sampler.draw(np.array(us))
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +475,11 @@ def experiment_convergence(config: ConvergenceConfig | None = None,
             tau = smp.sample(rng_f)
             g_d[i] = cs.g_map(tau, cfg.t1 * n_top) / n_top
             d_d[i] = cs.d_map(tau, cfg.t1 * n_top) / n_top
-        g_c = np.empty(cfg.fdd_replicas)
-        d_c = np.empty(cfg.fdd_replicas)
         spec_f = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=cfg.beta_hat,
                               h_hat=cfg.h_hat, T=cfg.T, M=512)
-        for i in range(cfg.fdd_replicas):
-            path = ct.sample_brownian(cfg.T, 512, rng_f)
-            ze = ct.ZEvaluator(spec_f, path)
-            pair = ct.sample_cdpm_fdd(ze, cfg.t1, rng_f, n=1, grid=128)
-            g_c[i], d_c[i] = pair[0]
+        *_, pairs = _cdpm_draws(spec_f, cfg.t1, 128, cfg.fdd_replicas, 1,
+                                rng_f)
+        g_c, d_c = pairs[:, 0].T
         for name, a, b in (("fdd_g_ks", g_d, g_c), ("fdd_d_ks", d_d, d_c)):
             stat, p = ks_two_sample(a, b)
             rep.tests[name] = {"stat": stat, "p": p}
@@ -503,28 +516,20 @@ def experiment_averaged_abs_continuity(config: AveragedConfig | None = None,
     disorder-free reference, which is the absolute-continuity statement
     made quantitative. h_hat != 0 enters through the Girsanov factor. The
     report carries the largest renewal-identity residual and the largest
-    clipped mass of any one table (CdpmFddSampler's health counters)."""
+    clipped mass of any one table (CdpmFddSampler's health counters), and
+    the residual's disorder-free floor, |sum of the reference masses - 1|."""
     cfg = config or AveragedConfig()
     t0 = time.perf_counter()
     rep = ExperimentReport("averaged-abs-continuity", asdict(cfg), seed)
-    rng = stream(seed, 0)
     spec = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=cfg.beta_hat,
                         h_hat=cfg.h_hat, T=cfg.T, M=cfg.M)
-    xs = np.empty((cfg.w_replicas, cfg.draws))
-    ys = np.empty((cfg.w_replicas, cfg.draws))
-    w = np.empty(cfg.w_replicas)
-    residual = clipped = 0.0
-    for i in range(cfg.w_replicas):
-        path = ct.sample_brownian(cfg.T, cfg.M, rng)
-        ze = ct.ZEvaluator(spec, path)
-        w[i] = ze.z0T()
-        if cfg.h_hat != 0.0:
-            w[i] *= ct.girsanov_tilt(path, cfg.beta_hat, cfg.h_hat)
-        sampler = ct.CdpmFddSampler(ze, cfg.t1, grid=cfg.grid)
-        residual = max(residual, sampler.residual)
-        clipped = max(clipped, sampler.clipped)
-        pairs = sampler.sample(cfg.draws, rng)
-        xs[i], ys[i] = pairs[:, 0], pairs[:, 1]
+    sampler, ze, path, pairs = _cdpm_draws(spec, cfg.t1, cfg.grid,
+                                           cfg.w_replicas, cfg.draws,
+                                           stream(seed, 0))
+    xs, ys = pairs[..., 0], pairs[..., 1]
+    w = ze.z0T()
+    if cfg.h_hat != 0.0:
+        w = w * ct.girsanov_tilt(path, cfg.beta_hat, cfg.h_hat)
     xe, Fx, ye, Fy = _marginal_cdf_tables(cfg.alpha, cfg.T, cfg.t1)
     rng_b = stream(seed, 1)
     for name, vals, gx, gF in (("g", xs, xe, Fx), ("d", ys, ye, Fy)):
@@ -533,8 +538,9 @@ def experiment_averaged_abs_continuity(config: AveragedConfig | None = None,
         rep.tests[f"weighted_ks_{name}"] = {"stat": stat, "p": p}
         rep.verdicts[f"weighted_ks_{name}"] = p > cfg.ks_threshold
     rep.estimates["ess"] = ess
-    rep.estimates["max_table_residual"] = residual
-    rep.estimates["clipped_mass"] = clipped
+    rep.estimates["max_table_residual"] = float(sampler.residual.max())
+    rep.estimates["table_residual_floor"] = abs(float(sampler.ref.sum()) - 1.0)
+    rep.estimates["clipped_mass"] = float(sampler.clipped.max())
     rep.verdicts["ess_reliable"] = ess >= 100
     se_w = w.std() / np.sqrt(len(w))
     rep.estimates["mean_weight"] = float(w.mean())
@@ -606,17 +612,19 @@ def experiment_singularity(config: SingularityConfig | None = None,
     n_lo, n_hi = cfg.levels
     spec_m = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=cfg.martingale_beta,
                           M=cfg.martingale_M)
-    ratios = np.empty(cfg.martingale_pairs)
-    dvar = np.empty(cfg.martingale_pairs)
-    for i in range(cfg.martingale_pairs):
-        regen = ct.sample_regen_conditioned(cfg.alpha, 1.0, n_hi + 2, rng_m)
-        path = ct.sample_brownian(1.0, cfg.martingale_M, rng_m)
-        ze = ct.ZEvaluator(spec_m, path)
-        f_lo = ct.martingale_fn(ze, regen, n_lo)
-        f_hi = ct.martingale_fn(ze, regen, n_hi)
-        ratios[i] = f_hi / f_lo if f_lo > 0 else np.inf
-        dvar[i] = (ct.block_variance_sum(spec_m, regen, n_hi)
-                   - ct.block_variance_sum(spec_m, regen, n_lo))
+    regens, ws = [], []
+    for _ in range(cfg.martingale_pairs):
+        regens.append(ct.sample_regen_conditioned(cfg.alpha, 1.0, n_hi + 2,
+                                                  rng_m))
+        ws.append(ct.sample_brownian(1.0, cfg.martingale_M, rng_m).w)
+    ze = ct.ZEvaluator(spec_m, ct.BrownianPath(1.0, cfg.martingale_M,
+                                               np.array(ws)))
+    f_lo = ct.martingale_fn(ze, regens, n_lo)
+    f_hi = ct.martingale_fn(ze, regens, n_hi)
+    ratios = np.full(cfg.martingale_pairs, np.inf)
+    np.divide(f_hi, f_lo, out=ratios, where=f_lo > 0)
+    dvar = np.array([ct.block_variance_sum(spec_m, r, n_hi)
+                     - ct.block_variance_sum(spec_m, r, n_lo) for r in regens])
     # second order in the disorder: E[log(f_hi / f_lo)] = -dvar / 2 per
     # pair; the predicted median is that of a log-normal ratio with the
     # predicted log-mean
@@ -718,15 +726,17 @@ def experiment_z_properties(config: ZPropertiesConfig | None = None,
     # mass-table grid doubles
     rng_r = stream(seed, 2)
     spec_r = ct.ChaosSpec(alpha=a, beta_hat=0.5, T=1.0, M=cfg.residual_M)
-    res = np.empty((cfg.residual_replicas, 2))
-    for i in range(cfg.residual_replicas):
-        path = ct.sample_brownian(1.0, cfg.residual_M, rng_r)
-        ze = ct.ZEvaluator(spec_r, path)
-        z0t = ze.z0T()
-        for j, g in enumerate((cfg.residual_grid, 2 * cfg.residual_grid)):
-            tab, zx, zy = ct._cdpm_factors(ze, cfg.residual_t1, g)
-            res[i, j] = abs(zx @ tab.masses @ zy - z0t) / z0t
-    coarse, fine = res.mean(axis=0)
+    ws = [ct.sample_brownian(1.0, cfg.residual_M, rng_r).w
+          for _ in range(cfg.residual_replicas)]
+    ze = ct.ZEvaluator(spec_r, ct.BrownianPath(1.0, cfg.residual_M,
+                                               np.array(ws)))
+    z0t = ze.z0T()
+    res = []
+    for g in (cfg.residual_grid, 2 * cfg.residual_grid):
+        tab, zx, zy = ct._cdpm_factors(ze, cfg.residual_t1, g)
+        mass = np.sum(zx * (tab.masses @ zy.T).T, axis=1)
+        res.append(np.mean(np.abs(mass - z0t) / z0t))
+    coarse, fine = res
     rep.tests["renewal_residual"] = {"coarse": float(coarse),
                                      "fine": float(fine)}
     rep.verdicts["renewal_residual_shrinks"] = fine <= 0.7 * coarse

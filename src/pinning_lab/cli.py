@@ -121,7 +121,7 @@ def _cmd_sample_pinning(args, seed):
     rows = []
     for i in range(args.samples):
         dis = dp.sample_disorder("standard-normal", args.N - 1, rng)
-        tau = dp.sample_pinned(kernel, dis, beta, h, args.N, rng)
+        tau = dp.build_pinned_sampler(kernel, dis, beta, h, args.N).sample(rng)
         rows.extend((i, p) for p in tau.points)
     payload = {"N": args.N, "beta_hat": args.beta_hat,
                "h_hat": args.h_hat, "samples": args.samples,
@@ -161,8 +161,8 @@ def _cmd_cdpm_fdd(args, seed):
     rng = stream(seed, 0)
     path = ct.sample_brownian(args.T, args.M, rng)
     ze = ct.ZEvaluator(spec, path)
-    pairs = ct.sample_cdpm_fdd(ze, args.t1, rng, n=args.samples,
-                               grid=args.grid)
+    pairs = ct.CdpmFddSampler(ze, args.t1, args.grid).sample(args.samples,
+                                                               rng)
     payload = {"alpha": args.alpha, "beta_hat": args.beta_hat,
                "t1": args.t1, "samples": args.samples,
                "Z_0T": ze.z0T()}

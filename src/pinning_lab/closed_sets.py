@@ -10,7 +10,6 @@ diagnostics used downstream: dyadic box counts and covering sums.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,27 +188,3 @@ def box_count_slope(counts: dict[int, int]) -> float:
     ys = np.log2([counts[n] for n in ns])
     slope, _ = np.polyfit(ns, ys, 1)
     return float(slope)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def write_csv(path, C: ClosedSetR) -> None:
-    """Point list with a resolution header line."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["resolution", repr(C.resolution)])
-        w.writerow(["x"])
-        for x in C.points:
-            w.writerow([repr(float(x))])
-
-
-def read_csv(path) -> ClosedSetR:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "resolution":
-        raise ValueError("missing resolution header")
-    res = float(rows[0][1])
-    pts = np.array([float(r[0]) for r in rows[2:]])
-    return ClosedSetR(pts, res)

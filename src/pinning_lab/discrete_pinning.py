@@ -302,13 +302,6 @@ def build_pinned_sampler(kernel: RenewalKernel, disorder: DisorderField,
                          underflow=bool(np.any(mass[1:] == 0)))
 
 
-def sample_pinned(kernel: RenewalKernel, disorder: DisorderField,
-                  beta: float, h: float, N: int,
-                  rng: np.random.Generator) -> ClosedSetR:
-    """One draw from the conditioned pinning measure on {0..N}."""
-    return build_pinned_sampler(kernel, disorder, beta, h, N).sample(rng)
-
-
 def enumerate_pinned_exact(kernel: RenewalKernel, disorder: DisorderField,
                            beta: float, h: float, N: int) -> dict:
     """Exact configuration probabilities by brute enumeration (N <= 16).

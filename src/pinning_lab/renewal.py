@@ -232,13 +232,6 @@ def two_point_kernel(p1: float = 0.5) -> RenewalKernel:
                                        allow_irregular=True))
 
 
-def check_tail_regularity(kernel: RenewalKernel, rtol: float = 0.05) -> bool:
-    """Is n^(1+alpha) K(n) / L(n) flat between n_max/2 and n_max?"""
-    n1, n2 = kernel.n_max // 2, kernel.n_max
-    r = lambda n: n ** (1.0 + kernel.alpha) * kernel.k[n] / float(kernel.L(n))
-    return bool(abs(r(n2) / r(n1) - 1.0) < rtol)
-
-
 # ---------------------------------------------------------------------------
 # renewal function
 
@@ -545,10 +538,3 @@ def sample_renewal(kernel: RenewalKernel, N: int,
         pos += gap
         pts.append(pos)
     return np.array(pts, dtype=np.int64)
-
-
-def export_csv(path, kernel: RenewalKernel, rf: RenewalFunction) -> None:
-    """Write columns (n, K(n), u(n)) for n = 0..n_max of rf."""
-    n = np.arange(rf.n_max + 1)
-    data = np.column_stack([n, kernel.k[:rf.n_max + 1], rf.u])
-    np.savetxt(path, data, delimiter=",", header="n,K,u", comments="")

@@ -25,10 +25,9 @@ MAX_CELLS = 14
 
 
 def snap(x: float, delta: float) -> tuple[float, int]:
-    """The nearest grid index to x, and the end used for x: x itself within
-    1e-9 cells of that grid point, else the grid point."""
+    """The grid point nearest x, the end used for x, and its index."""
     i = int(np.floor(x / delta + 0.5))
-    return (x if abs(x / delta - i) <= 1e-9 else i * delta), i
+    return i * delta, i
 
 
 def _pow_int(lo: float, hi: float, p: float) -> float:

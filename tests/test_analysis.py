@@ -7,6 +7,9 @@ import pytest
 from scipy.special import gamma
 
 import pinning_lab.analysis as an
+from pinning_lab import continuum as ct
+from pinning_lab import discrete_pinning as dp
+from pinning_lab import renewal as rn
 from pinning_lab.rng import stream
 
 
@@ -182,7 +185,15 @@ class TestExperimentsSmall:
         cfg = SMALL["averaged-abs-continuity"]
         rep = an.experiment_averaged_abs_continuity(cfg, seed=4)
         assert 0 < rep.estimates["max_table_residual"] < 1e-2
+        assert 0 < rep.estimates["table_residual_floor"] < 1e-3
         assert 0 < rep.estimates["clipped_mass"] < 1e-6
+
+    def test_table_residual_floor_without_disorder(self):
+        cfg = an.AveragedConfig(beta_hat=0.0, M=128, w_replicas=20, draws=2,
+                                grid=64, n_boot=10)
+        est = an.experiment_averaged_abs_continuity(cfg, seed=4).estimates
+        assert est["max_table_residual"] == pytest.approx(
+            est["table_residual_floor"], rel=0, abs=1e-14)
 
     def test_byte_identical_rerun(self):
         cfg_cls, fn = an.EXPERIMENTS["averaged-abs-continuity"]
@@ -205,3 +216,61 @@ class TestExperimentsSmall:
         assert "pinned_g_ks" in rep.verdicts
         assert 0.0 < rep.estimates["g_mean"] < 1.0
         assert rep.estimates["pinned_underflows"] == 0
+
+
+class TestStreamOrder:
+    """The experiments build every environment's table at once, after
+    drawing all random inputs; their CDPM draws equal, bit for bit, those of
+    a loop over one environment at a time in the stream order of the
+    per-path code (criterion 9's small configs and seed)."""
+
+    @staticmethod
+    def batched_draws(monkeypatch, run):
+        got = []
+        draw = ct.CdpmFddSampler.draw
+
+        def capture(self, u):
+            got.append(draw(self, u))
+            return got[-1]
+
+        monkeypatch.setattr(ct.CdpmFddSampler, "draw", capture)
+        run()
+        (out,) = got
+        return out
+
+    @staticmethod
+    def per_path(spec, t1, grid, R, n, rng):
+        out = []
+        for _ in range(R):
+            ze = ct.ZEvaluator(spec, ct.sample_brownian(spec.T, spec.M, rng))
+            smp = ct.CdpmFddSampler(ze, t1, grid=grid)
+            out.append(smp.draw(np.array([rng.random(n) for _ in range(3)])))
+        return np.array(out)
+
+    def test_averaged(self, monkeypatch):
+        cfg = an.AveragedConfig(M=128, w_replicas=120, draws=4, grid=64,
+                                n_boot=30)
+        got = self.batched_draws(monkeypatch, lambda: (
+            an.experiment_averaged_abs_continuity(cfg, 109)))
+        spec = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=cfg.beta_hat, M=cfg.M)
+        np.testing.assert_array_equal(got, self.per_path(
+            spec, cfg.t1, cfg.grid, cfg.w_replicas, cfg.draws,
+            stream(109, 0)))
+
+    def test_convergence(self, monkeypatch):
+        cfg = an.ConvergenceConfig(n_ladder=(64, 128), replicas=(200, 150),
+                                   continuum_replicas=200, continuum_M=128,
+                                   fdd_replicas=35)
+        got = self.batched_draws(
+            monkeypatch, lambda: an.experiment_convergence(cfg, 109))
+        # the pinned draws come first in the stream
+        rng = stream(109, 20)
+        kernel = rn.matched_power_kernel(cfg.alpha, 128)
+        scale = dp.scale_couplings(cfg.beta_hat, cfg.h_hat, 128, kernel)
+        for _ in range(cfg.fdd_replicas):
+            dis = dp.sample_disorder(cfg.disorder, 127, rng)
+            dp.build_pinned_sampler(kernel, dis, scale.beta_N, scale.h_N,
+                                    128).sample(rng)
+        spec = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=cfg.beta_hat, M=512)
+        np.testing.assert_array_equal(got, self.per_path(
+            spec, cfg.t1, 128, cfg.fdd_replicas, 1, rng))

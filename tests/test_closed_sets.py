@@ -161,12 +161,3 @@ class TestCoveringSum:
         C = cs.from_points([0.2, 0.8], resolution=2.0 ** -8)
         with pytest.raises(ValueError):
             cs.covering_sum(C, 2, 0.5, 1.0)
-
-
-def test_csv_roundtrip(tmp_path):
-    C = cs.from_points([0.0, 0.125, 1.0], resolution=2.0 ** -8)
-    p = tmp_path / "set.csv"
-    cs.write_csv(p, C)
-    back = cs.read_csv(p)
-    np.testing.assert_array_equal(back.points, C.points)
-    assert back.resolution == C.resolution

@@ -188,8 +188,6 @@ class TestZPoint:
         p = ct.sample_brownian(1.0, cells, stream(63))
         for call in (lambda: ct.z_profile_from(sp, p, 0.0),
                      lambda: ct.z_profile_to(sp, p, 1.0),
-                     lambda: ct._z_spans(sp, p, np.array([0.0]),
-                                         np.array([0.5])),
                      lambda: ct.ZEvaluator(sp, p)):
             with pytest.raises(ValueError, match="disagree on the grid"):
                 call()
@@ -206,17 +204,19 @@ class TestZPoint:
             ys, z = ct.z_profile_to(sp, p, 0.0)
             assert ys.tolist() == [0.0] and z.tolist() == [1.0]
 
-    @pytest.mark.parametrize("M", [16, 512])
+    @pytest.mark.parametrize("M", [12, 16, 512])
     def test_time_reversal(self, M):
         # the conditioned chaos kernel is symmetric under time reversal:
         # Z(s, t) on reversed increments is Z(T - t, T - s) on the originals.
-        # Grid points are exact doubles here: an end a rounding error below
-        # a grid point moves Z by about (error / delta)^alpha
+        # At M = 12 the grid points are not exact doubles, and T - t lands a
+        # rounding error off them; every end snaps to its grid point
         sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=0.3, T=2.0, M=M)
         d = sp.T / M
         incs = stream(63, M).standard_normal((4, M)) * np.sqrt(d)
+        grid = [(i * d, j * d) for i in range(M) for j in range(i + 1, M + 1)]
         for s, t in ((0.0, 2.0), (0.5, 1.5), (3 * d, 2.0 - 5 * d),
-                     (0.37 * d, 2.0 - 0.2 * d), (0.1234567, 1.7777777)):
+                     (0.37 * d, 2.0 - 0.2 * d), (0.1234567, 1.7777777),
+                     *(grid if M <= 16 else [])):
             np.testing.assert_allclose(
                 ct.z_point_batch(sp, incs[:, ::-1], s, t),
                 ct.z_point_batch(sp, incs, sp.T - t, sp.T - s), rtol=1e-13)
@@ -252,6 +252,101 @@ class TestZPoint:
         target = ct.z_second_moment_series(ALPHA, 0.5, 1.0) - 1.0
         var_se = z.var() * np.sqrt(2.0 / R) * 2.0
         assert abs(z.var() - target) < 3 * var_se
+
+
+class TestEnvironments:
+    """The layer over R paths at once against R one-path evaluations."""
+
+    @pytest.fixture(scope="class")
+    def paths(self):
+        rng = stream(64)
+        return [ct.sample_brownian(1.0, 256, rng) for _ in range(17)]
+
+    @staticmethod
+    def stack(paths):
+        return ct.BrownianPath(1.0, 256, np.array([p.w for p in paths]))
+
+    @pytest.mark.parametrize("R", [1, 3, 17])
+    def test_matches_single_paths(self, paths, R):
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=0.3, M=256)
+        many = self.stack(paths[:R])
+        ze = ct.ZEvaluator(sp, many)
+        smp = ct.CdpmFddSampler(ze, 0.4, grid=32)
+        u = stream(65, R).random((R, 3, 50))
+        draws = smp.draw(u)
+        assert draws.shape == (R, 50, 2) and smp.mass.shape == (R,)
+        for r, p in enumerate(paths[:R]):
+            one = ct.ZEvaluator(sp, p)
+            for prof in ("from_0", "to_T"):
+                (ts, z), (ts_r, z_r) = getattr(one, prof), getattr(ze, prof)
+                np.testing.assert_array_equal(ts_r, ts)
+                np.testing.assert_allclose(z_r[r], z, rtol=1e-13)
+            assert ze.z0T()[r] == pytest.approx(one.z0T(), rel=1e-13)
+            assert ze.z(0.3, 0.7)[r] == pytest.approx(one.z(0.3, 0.7),
+                                                      rel=1e-13)
+            assert ct.girsanov_tilt(many, 1.0, 0.3)[r] == pytest.approx(
+                ct.girsanov_tilt(p, 1.0, 0.3), rel=1e-15)
+            s1 = ct.CdpmFddSampler(one, 0.4, grid=32)
+            tab = ct._reference_table(ALPHA, 1.0, 0.4, 128)
+            # one path's factors are np.interp's, bit for bit
+            np.testing.assert_array_equal(s1.zx,
+                                          np.interp(tab.xm, *one.from_0))
+            np.testing.assert_array_equal(s1.zy, np.interp(tab.ym, *one.to_T))
+            assert smp.mass[r] == pytest.approx(s1.mass, rel=1e-13)
+            assert smp.residual[r] == pytest.approx(s1.residual, abs=1e-13)
+            assert smp.clipped[r] == pytest.approx(s1.clipped, rel=1e-13)
+            np.testing.assert_array_equal(draws[r], s1.draw(u[r]))
+
+    def test_one_path_types_and_stream(self, paths):
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, M=256)
+        ze = ct.ZEvaluator(sp, paths[0])
+        smp = ct.CdpmFddSampler(ze, 0.4, grid=32)
+        for v in (ze.z0T(), ze.z(0.1, 0.9), smp.mass, smp.residual,
+                  smp.clipped, ct.girsanov_tilt(paths[0], 1.0, 0.2)):
+            assert isinstance(v, float)
+        # sample(n, rng) takes its uniforms as three rng.random(n) calls
+        rng = stream(66)
+        u = np.array([rng.random(40) for _ in range(3)])
+        got = smp.sample(40, stream(66))
+        assert got.shape == (40, 2)
+        np.testing.assert_array_equal(got, smp.draw(u))
+
+    def test_martingale_over_paths(self, paths):
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, M=256)
+        regens = [ct.sample_regen_conditioned(ALPHA, 1.0, 10, stream(67, r))
+                  for r in range(5)]
+        ze = ct.ZEvaluator(sp, self.stack(paths[:5]))
+        for n in (0, 2, 8):
+            want = [ct.martingale_fn(ct.ZEvaluator(sp, p), g, n)
+                    for p, g in zip(paths, regens)]
+            np.testing.assert_allclose(ct.martingale_fn(ze, regens, n), want,
+                                       rtol=1e-13)
+
+    @pytest.mark.parametrize("variant", ["conditioned", "free", "mean-case"])
+    def test_spans_across_paths_match_oracle(self, variant):
+        # spans of mixed lengths, each on its own path, in one call
+        alpha, mean = (1.5, 2.0) if variant == "mean-case" else (ALPHA, None)
+        sp = ct.ChaosSpec(alpha=alpha, beta_hat=1.0, h_hat=0.3, M=12,
+                          variant=variant, mean_tau1=mean)
+        incs = stream(68).standard_normal((3, 12)) / np.sqrt(12)
+        rng = stream(69)
+        ends = np.sort(rng.uniform(0.0, 1.0, (24, 2)), axis=1)
+        ends[:4] = [[0.0, 1.0], [0.5, 0.5], [0.30001, 0.30002], [0.0, 0.1]]
+        env = rng.integers(0, 3, len(ends))
+        want = [oracle(sp, incs[e], s, t) for e, (s, t) in zip(env, ends)]
+        np.testing.assert_allclose(
+            ct._z_spans(sp, incs, ends[:, 0], ends[:, 1], env), want,
+            rtol=1e-13)
+
+    def test_residual_floor_without_disorder(self, paths):
+        # Z = 1 without disorder, so every table's residual is the
+        # quadrature error of the reference table alone
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=0.0, M=256)
+        smp = ct.CdpmFddSampler(ct.ZEvaluator(sp, self.stack(paths)), 0.4,
+                                grid=128)
+        floor = abs(smp.ref.sum() - 1.0)
+        assert 1e-5 < floor < 1e-4
+        np.testing.assert_allclose(smp.residual, floor, rtol=0, atol=1e-14)
 
 
 class TestSecondMoment:
@@ -335,14 +430,6 @@ class TestReferenceDensity:
         val, _ = integrate.quad(lambda x: C_A / a, 0, t, weight="alg",
                                 wvar=(a - 1.0, -a))
         assert val == pytest.approx(1.0, rel=1e-9)
-
-    def test_arcsine_marginal_quadrature(self):
-        a, t = ALPHA, 0.6
-        val, _ = integrate.quad(lambda x: np.sin(np.pi * a) / np.pi, 0, t,
-                                weight="alg", wvar=(a - 1.0, -a))
-        assert val == pytest.approx(1.0, rel=1e-9)
-        assert ct.arcsine_marginal(a, t, 0.3) == pytest.approx(
-            np.sin(np.pi * a) / np.pi * 0.3 ** (a - 1) * 0.3 ** -a, rel=1e-12)
 
     def test_conditioned_k1_normalization_table(self):
         m, _, _ = ct.reference_fdd_table(ALPHA, 1.0, 0.4, grid=512)
@@ -454,11 +541,10 @@ class TestCdpmFdd:
         z0t = ze.z0T()
         assert smp.residual == abs(smp.mass - z0t) / z0t
         # the quenched table before clipping, rebuilt from the reference
-        raw = np.array(smp.ref)
-        i, j, cut = ct._reference_table(ALPHA, 1.0, 0.4, 512).clipped
-        raw[i, j] = -cut
-        raw = smp.zx[:, None] * raw * smp.zy
-        assert len(cut) > 0 and np.all(cut > 0)
+        cut = ct._reference_table(ALPHA, 1.0, 0.4, 512).clipped.toarray()
+        raw = smp.zx[:, None] * (smp.ref - cut) * smp.zy
+        assert np.any(cut > 0) and np.all(cut >= 0)
+        assert not np.any((cut > 0) & (smp.ref > 0))
         assert smp.clipped == pytest.approx(-raw[raw < 0].sum(), rel=1e-12)
         assert smp.mass == pytest.approx(raw[raw > 0].sum(), rel=1e-12)
         assert 0 < smp.clipped < 1e-6 * smp.mass
@@ -502,7 +588,7 @@ class TestCdpmFdd:
 
     def test_sampler_support(self, spec, path):
         ze = ct.ZEvaluator(spec, path)
-        pairs = ct.sample_cdpm_fdd(ze, 0.4, stream(8), n=200, grid=128)
+        pairs = ct.CdpmFddSampler(ze, 0.4, grid=128).sample(200, stream(8))
         assert np.all(pairs[:, 0] <= 0.4) and np.all(pairs[:, 0] >= 0)
         assert np.all(pairs[:, 1] > 0.4) and np.all(pairs[:, 1] <= 1.0)
 
@@ -577,7 +663,9 @@ class TestMartingale:
         s = np.array([0.0, 0.1, 0.5, 0.52])
         t = np.array([0.3, 0.1, 0.9, 0.53])
         want = [oracle(sp, p.increments, a, b) for a, b in zip(s, t)]
-        np.testing.assert_allclose(ct._z_spans(sp, p, s, t), want, rtol=1e-14)
+        np.testing.assert_allclose(
+            ct._z_spans(sp, p.increments[None], s, t, np.zeros(4, int)),
+            want, rtol=1e-14)
 
     def test_block_variance_sum(self):
         sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, M=1024)
