@@ -22,8 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammainccinv, gammaln
-from scipy.stats import ks_2samp, kstwobign, qmc
+from scipy.special import gammainccinv, gammaln, kolmogi, kolmogorov
 
 from pinning_lab import closed_sets as cs
 from pinning_lab import continuum as ct
@@ -86,6 +85,7 @@ class ExperimentReport:
 
 def ks_two_sample(a, b) -> tuple[float, float]:
     """Classical two-sample KS statistic and asymptotic p-value."""
+    from scipy.stats import ks_2samp  # scipy.stats takes ~0.6 s to import
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) < 30 or len(b) < 30:
@@ -179,6 +179,7 @@ def _dirichlet_qmc(chi: float, k: int, seed: int, log2_n: int = 18) -> float:
     """Quasi-MC estimate via importance sampling from a symmetric
     Dirichlet(a) law with a = 1 - chi/2, which keeps the weight
     prod x_i^(-chi/2) square-integrable."""
+    from scipy.stats import qmc
     a = 1.0 - chi / 2.0
     sob = qmc.Sobol(d=k + 1, scramble=True, seed=seed)
     u = sob.random_base2(log2_n)
@@ -319,7 +320,7 @@ class ConvergenceConfig:
 
 def _ks_p(stat: float, n: int) -> float:
     """Asymptotic one-sample KS p-value (conservative for a lattice law)."""
-    return float(kstwobign.sf(stat * np.sqrt(n)))
+    return float(kolmogorov(stat * np.sqrt(n)))
 
 
 def _pinned_g_tests(rep: ExperimentReport, cfg: ConvergenceConfig,
@@ -367,7 +368,7 @@ def _pinned_g_tests(rep: ExperimentReport, cfg: ConvergenceConfig,
         rate = float(np.polyfit(np.log(cfg.n_ladder), np.log(dists), 1)[0])
         # N at which the exact distance falls to the KS critical value of
         # this many draws, extrapolated at the fitted rate
-        crit = kstwobign.isf(cfg.ks_threshold) / np.sqrt(n)
+        crit = kolmogi(cfg.ks_threshold) / np.sqrt(n)
         ladder["rate"] = rate
         ladder["n_for_continuum_ks"] = float(
             cfg.n_ladder[-1] * (crit / dists[-1]) ** (1.0 / rate))

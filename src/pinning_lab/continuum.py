@@ -17,12 +17,11 @@ from math import lgamma
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.sparse import csr_array
 
 from pinning_lab.closed_sets import ClosedSetR, dyadic_blocks
 from pinning_lab.renewal import stable_constant
-from pinning_lab.volterra import renewal_solve_batch
+from pinning_lab.volterra import convolve, renewal_solve_batch
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,7 @@ def _profile(spec: ChaosSpec, path: BrownianPath, cells: np.ndarray,
             z[1:] += np.cumsum(A, axis=0)
         else:  # S[m] = sum_{l<=m} A[l] tavg[m-l], dist a multiple of delta
             tavg = _cell_avg(spec.alpha, dist, path.delta)
-            S = fftconvolve(A, tavg[:, None], axes=0)[:len(c)]
+            S = convolve(A, tavg[:, None])[:len(c)]
             z[1:] += dist[1:, None] ** (1.0 - spec.alpha) * S
     return z.T.reshape(*path.w.shape[:-1], -1)
 

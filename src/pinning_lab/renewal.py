@@ -19,10 +19,9 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.signal import fftconvolve
 from scipy.special import zeta
 
-from pinning_lab.volterra import renewal_solve_batch
+from pinning_lab.volterra import convolve, renewal_solve_batch
 
 
 class KernelError(ValueError):
@@ -250,46 +249,18 @@ class RenewalFunction:
         return len(self.u) - 1
 
 
-def _renewal_u_cdq(k: np.ndarray, n_max: int, base: int = 4096) -> np.ndarray:
-    """u(0..n_max) by divide and conquer, O(n log^2 n): a span of at most
-    base indices is one renewal_solve_batch call, and a longer one is split
-    in halves, the first half's part of the second half's sums taken by one
-    FFT convolution."""
-    u = np.zeros(n_max + 1)
-    u[0] = 1.0
-    kp = np.zeros(n_max + 1)
-    kp[1:len(k)] = k[1:n_max + 1]
-    acc = kp.copy()  # the u[0] terms
-
-    def solve(lo: int, hi: int) -> None:
-        if hi - lo <= base:
-            x, _ = renewal_solve_batch(kp[:hi - lo + 1], acc[lo:hi],
-                                       np.ones((hi - lo, 1)))
-            u[lo:hi] = x[:, 0]
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid)
-        part = fftconvolve(u[lo:mid], kp[1:hi - lo])
-        acc[mid:hi] += part[mid - lo - 1:hi - lo - 1]
-        solve(mid, hi)
-
-    if n_max >= 1:
-        solve(1, n_max + 1)
-    return u
-
-
 def renewal_function(kernel: RenewalKernel, n_max: int) -> RenewalFunction:
     """Visit probabilities u(0..n_max) of the renewal equation
-    u(n) = sum_m K(m) u(n-m), u(0) = 1. It is the weighted renewal recursion
-    with forcing K and unit weights: one renewal_solve_batch call up to
-    n_max = 4096, and above that _renewal_u_cdq's halving around such calls.
-    With sum K <= 1 the solve never rescales. Up to 4096 u is within a few
-    1e-15 of the term-by-term sums; the FFT convolutions above add round-off
-    of order 1e-13 relative at n = 20000."""
+    u(n) = sum_m K(m) u(n-m), u(0) = 1: one renewal_solve_batch call, with
+    forcing K and unit weights, that never rescales as sum K <= 1. Up to
+    4096 u is within a few 1e-15 of the term-by-term sums; above that the
+    solver's FFT halving adds round-off of order 1e-13 relative at 20000."""
     if n_max > kernel.n_max and kernel.regular:
         raise KernelError("n_max exceeds the tabulated kernel range")
-    return RenewalFunction(u=_renewal_u_cdq(kernel.k, n_max),
-                           alpha=kernel.alpha,
+    k = np.zeros(n_max + 1)
+    k[1:len(kernel.k)] = kernel.k[1:n_max + 1]
+    u = np.ldexp(*renewal_solve_batch(k, k[1:], np.ones((n_max, 1))))
+    return RenewalFunction(u=np.r_[1.0, u[:, 0]], alpha=kernel.alpha,
                            slowly_varying=kernel.slowly_varying, kernel=kernel)
 
 
@@ -380,32 +351,27 @@ def check_smoothness(rf: RenewalFunction, n0: int = 64,
 # Bessel-like walks
 
 
-def bessel_p_up(alpha: float) -> Callable[[int], float]:
-    """Up-step probabilities of a birth-death chain whose return-time law has
-    tail exponent alpha: p(x) = 1/2 + (1 - 2 alpha)/(4x), clipped away from
-    {0, 1}, with p(0) = 1."""
-    def p(x: int) -> float:
-        if x == 0:
-            return 1.0
-        return float(np.clip(0.5 + (1.0 - 2.0 * alpha) / (4.0 * x), 0.05, 0.95))
+def bessel_p_up(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Up-step probabilities, on an integer array x, of a birth-death chain
+    whose return-time law has tail exponent alpha: p(x) = 1/2 +
+    (1 - 2 alpha)/(4x), clipped away from {0, 1}, with p(0) = 1."""
+    def p(x: np.ndarray) -> np.ndarray:
+        q = 0.5 + (1.0 - 2.0 * alpha) / (4.0 * np.maximum(x, 1))
+        return np.where(x == 0, 1.0, np.clip(q, 0.05, 0.95))
     return p
 
 
-def _escape_probability(p_up: Callable[[int], float], cutoff: int = 2_000_000) -> float:
+def _escape_probability(p_up: Callable, cutoff: int = 2_000_000) -> float:
     """P(never return to 0) for the birth-death chain, from the standard
-    resistance series: escape = 1 / sum_k rho_k with rho_k = prod q_j/p_j."""
-    total = 1.0
-    rho = 1.0
-    for x in range(1, cutoff):
-        p = p_up(x)
-        rho *= (1.0 - p) / p
-        total += rho
-        if total > 1e9:
-            return 0.0
-    return 1.0 / total
+    resistance series: escape = 1 / sum_k rho_k with rho_k = prod q_j/p_j,
+    summed over k < cutoff; 0 once the partial sum passes 1e9."""
+    p = p_up(np.arange(1, cutoff))
+    with np.errstate(over="ignore"):  # an overflowed rho is past 1e9 anyway
+        total = np.cumsum(np.r_[1.0, np.cumprod((1.0 - p) / p)])
+    return 0.0 if total[-1] > 1e9 else float(1.0 / total[-1])
 
 
-def bessel_like_return_law(p_up: Callable[[int], float], n_max: int,
+def bessel_like_return_law(p_up: Callable, n_max: int,
                            escape_tol: float = 1e-6) -> RenewalKernel:
     """Exact law of half the first return time to 0 of a nearest-neighbor
     birth-death chain on the non-negative integers.
@@ -416,14 +382,13 @@ def bessel_like_return_law(p_up: Callable[[int], float], n_max: int,
     above escape_tol) is rejected, since the associated renewal process would
     terminate.
     """
-    if p_up(0) != 1.0:
+    t_steps = 2 * n_max
+    pu = p_up(np.arange(t_steps + 2))
+    if pu[0] != 1.0:
         raise KernelError("p_up(0) must be 1 (reflection at the origin)")
     esc = _escape_probability(p_up)
     if esc >= escape_tol:
         raise KernelError(f"chain is transient (escape probability {esc:.2e})")
-
-    t_steps = 2 * n_max
-    pu = np.array([p_up(x) for x in range(t_steps + 2)])
     if np.any((pu[1:] <= 0) | (pu[1:] >= 1)):
         raise KernelError("p_up(x) must lie strictly in (0,1) for x >= 1")
     k = np.zeros(n_max + 1)
@@ -508,7 +473,7 @@ def conditioned_g_law(rf: RenewalFunction, N: int, t: int) -> np.ndarray:
     k[1:m + 1] = rf.kernel.k[1:m + 1]
     u = rf.u
     # s[j] = sum_{y > t} K(y - (t - j)) u(N - y), for j = t - x = 0..t
-    s = fftconvolve(k[1:], u[:N - t], mode="valid")
+    s = convolve(k[1:], u[:N - t])[N - t - 1:N]
     return u[:t + 1] * s[::-1] / u[N]
 
 

@@ -1,28 +1,46 @@
 """Replica-batched solver of the weighted renewal recursion
-x[j] = c[j] (f[j] + sum_{i<j} k[j-i] x[i]).
+x[j] = c[j] (f[j] + sum_{i<j} k[j-i] x[i]), and the FFT product convolve.
 
-It is the one copy of that recursion behind every caller: the renewal
-function u(n) (renewal), the Z profiles Z(0, .) and Z(., T), scalar Z(s, t)
-and the batched continuum Z (continuum), and the discrete Z_N and the pinned
-sampler's backward mass (discrete_pinning). The scheme is blocked in the
-manner of Hairer, Lubich and Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985):
-each block takes its whole past in one matrix product, and the terms inside
-the block by one triangular solve per replica, or by one vectorized step per
-index when the replicas are many against the block length."""
+The solver is the one copy of that recursion behind u(n) (renewal), every
+Z of the continuum layer, and the discrete Z_N and the pinned sampler's
+backward mass (discrete_pinning). The scheme is that of Hairer, Lubich and
+Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985): an input longer than
+HALVE_ABOVE rows is halved, the first half's share of the later sums taken
+by one convolve over all replicas, so a long solve costs O(n log^2 n); a
+shorter one is blocked, each block taking its past by one matrix product
+and its own terms by a triangular solve per replica or a vectorized step
+per index. convolve also serves the Z profiles and the exact g-law.
+
+Only the matched-kernel deconvolution (renewal.matched_power_kernel) keeps
+its own loop: as one solver call, lag kernel -u, its K is 2x further from a
+40-digit reference (max relative error 2.9e-10 against 1.4e-10 at
+n = 2,048), though both keep the renewal residual near 5e-15."""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg.lapack import dtrtrs
 
+HALVE_ABOVE = 4096  # longer inputs are halved; the halves meet by one FFT
 BLOCK = 64  # indices per block; each block takes its whole past in one GEMM
 TRI_RATIO = 4  # triangular in-block solves while TRI_RATIO * R <= block length
+
+
+def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full convolution of a and b along axis 0, the other axes broadcast,
+    by one real FFT product at next_fast_len; exact when one has length 1."""
+    if len(a) == 1 or len(b) == 1:
+        return a * b
+    n = len(a) + len(b) - 1
+    m = next_fast_len(n, True)
+    return irfft(rfft(a, m, axis=0) * rfft(b, m, axis=0), m, axis=0)[:n]
 
 
 def renewal_solve_batch(k: np.ndarray, f: np.ndarray,
                         c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x of shape (n, R) for weights c of shape (n, R), the forcing f of
-    shape (n,) shared by all replicas or (n, R), and the lag kernel k (n+1,)
-    shared by all replicas; k[0] is not read.
+    shape (n,) shared by all replicas or (n, R), and the lag kernel k of at
+    least n+1 entries shared by all replicas; only k[1..n] is read.
 
     Returns (x, e): the solution is x * 2**e, e an integer array of the
     shape of x. With |f| <= 1 and sum |k| <= 1 each index grows the running
@@ -33,12 +51,25 @@ def renewal_solve_batch(k: np.ndarray, f: np.ndarray,
     by a power of two. An input that never gets there is solved in blocks of
     BLOCK with e = 0, unscaled.
 
+    A forcing above that bound starts scaled down. Above HALVE_ABOVE rows,
+    the first n // 2 are solved first; their share of the later sums is one
+    convolve on the first half's final per-replica scale e1[-1], with the
+    later forcing shifted by the same power of two.
+
     Inside a block each replica solves (I - diag(c) Toe) x = c acc, Toe the
     block's strictly lower Toeplitz matrix of k, by one LAPACK dtrtrs call
     when TRI_RATIO * R <= b; otherwise all replicas step one index at a time.
     """
     n, R = c.shape
-    f = f.reshape(n, -1)
+    f = f[:, None] if f.ndim == 1 else f
+    if n > HALVE_ABOVE:
+        h = n // 2
+        x1, e1 = renewal_solve_batch(k, f[:h], c[:h])
+        cur = e1[-1]
+        f2 = np.ldexp(f[h:], -cur) + convolve(np.ldexp(x1, e1 - cur),
+                                              k[1:n, None])[h - 1:n - 1]
+        x2, e2 = renewal_solve_batch(k, f2, c[h:])
+        return np.concatenate([x1, x2]), np.concatenate([e1, e2 + cur])
     step = np.log(max(1.0, float(np.max(np.abs(c), initial=0.0)))) + 1.0
     b = min(BLOCK, max(1, int(600 // step)))
     limit = np.exp(max(np.log(np.finfo(float).max) - b * step, 0.0))
@@ -51,7 +82,9 @@ def renewal_solve_batch(k: np.ndarray, f: np.ndarray,
     x = np.empty((n, R))
     e = np.zeros((n, R), dtype=np.int64)
     # the past on the current scale, x * 2**(e - cur); x itself until a rescale
-    past, cur = x, np.zeros(R, dtype=np.int64)
+    fpeak = np.max(np.abs(f), axis=0, initial=0.0)
+    past, cur = x, np.where(fpeak > limit, np.frexp(fpeak)[1],
+                            np.zeros(R, dtype=np.int64))
     for j0 in range(0, n, b):
         m = min(b, n - j0)
         blk = slice(j0, j0 + m)

@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +63,18 @@ class TestPlumbing:
         capsys.readouterr()
         rep = _report(tmp_path, "partition")
         assert rep["threads"] == 2 and rep["threads_applied"] is False
+
+    def test_import_leaves_out_scipy_signal_and_stats(self):
+        # scipy.stats alone takes about 0.6 s to import; it is loaded only
+        # by the calls that need it
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, pinning_lab.cli; print(sorted(m for m in "
+                "('scipy.signal', 'scipy.stats') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestPartition:

@@ -85,12 +85,6 @@ class TestRenewalFunction:
     def test_bounds(self, rf_075):
         assert np.all(rf_075.u > 0) and np.all(rf_075.u <= 1)
 
-    def test_cdq_matches_direct(self, kernel_075):
-        # 3000 indices: one solve, against halving down to 128-index solves
-        ud = rn.renewal_function(kernel_075, 3000).u
-        uc = rn._renewal_u_cdq(kernel_075.k, 3000, base=128)
-        assert np.max(np.abs(ud - uc)) < 1e-10
-
     def test_horizon_beyond_kernel_rejected(self, kernel_075):
         with pytest.raises(rn.KernelError):
             rn.renewal_function(kernel_075, 30000)
@@ -134,7 +128,8 @@ class TestSmoothness:
 
 @pytest.fixture(scope="module")
 def srw():
-    return rn.bessel_like_return_law(lambda x: 1.0 if x == 0 else 0.5, 4000)
+    return rn.bessel_like_return_law(lambda x: np.where(x == 0, 1.0, 0.5),
+                                     4000)
 
 
 class TestBesselWalk:
@@ -158,13 +153,29 @@ class TestBesselWalk:
         k = rn.bessel_like_return_law(rn.bessel_p_up(0.75), 4000)
         assert k.tail_fit["fitted_alpha"] == pytest.approx(0.75, abs=0.05)
 
+    @pytest.mark.parametrize("p_up", [
+        rn.bessel_p_up(0.75), rn.bessel_p_up(0.3),
+        lambda x: np.where(x == 0, 1.0, 0.7),
+        lambda x: np.where(x == 0, 1.0, 0.3)],
+        ids=["alpha0.75", "alpha0.3", "transient", "past-1e9"])
+    def test_escape_matches_scalar_loop(self, p_up):
+        total = rho = 1.0
+        for p in p_up(np.arange(1, 20_000)).tolist():
+            rho *= (1.0 - p) / p
+            total += rho
+            if total > 1e9:
+                break
+        want = 0.0 if total > 1e9 else 1.0 / total
+        assert rn._escape_probability(p_up, cutoff=20_000) == want
+
     def test_transient_rejected(self):
         with pytest.raises(rn.KernelError, match="transient"):
-            rn.bessel_like_return_law(lambda x: 1.0 if x == 0 else 0.7, 100)
+            rn.bessel_like_return_law(lambda x: np.where(x == 0, 1.0, 0.7),
+                                      100)
 
     def test_reflection_required(self):
         with pytest.raises(rn.KernelError):
-            rn.bessel_like_return_law(lambda x: 0.5, 100)
+            rn.bessel_like_return_law(lambda x: np.full(np.shape(x), 0.5), 100)
 
     def test_coupling_bound(self, srw):
         rf = rn.renewal_function(srw, 4000)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pinning_lab import continuum as ct
 from pinning_lab import discrete_pinning as dp
 from pinning_lab import renewal as rn
+from pinning_lab import volterra
 from pinning_lab.rng import stream
 from pinning_lab.volterra import BLOCK, TRI_RATIO, renewal_solve_batch
 
@@ -54,21 +55,42 @@ def test_matches_naive_loop(n, R, seed):
     np.testing.assert_allclose(x, naive_solve(k, f, c), rtol=1e-12)
 
 
+@pytest.mark.parametrize("R", [1, TRI + 2])
+def test_halving_matches_naive_loop(monkeypatch, R):
+    # 601 rows halve twice at odd lengths, down to leaves of 150-151 rows;
+    # the signed weights leave entries near 0, so the error is measured
+    # against the largest |x|
+    monkeypatch.setattr(volterra, "HALVE_ABOVE", 2 * BLOCK)
+    n = 601
+    rng = np.random.default_rng(R)
+    k = np.r_[np.nan, rng.random(n)]
+    k[1:] /= k[1:].sum()
+    f = rng.random(n)
+    c = rng.standard_normal((n, R))
+    x, e = renewal_solve_batch(k, f, c)
+    want = naive_solve(k, f, c)
+    assert not e.any()
+    assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("log_c", [20.0, 40.0, 650.0])
-def test_scaled_solve_matches_log_domain(log_c):
+def test_scaled_solve_matches_log_domain(monkeypatch, log_c):
     # large weights take short blocks (28, 14 and 1 index) and rescales;
     # compare in logs with a log-domain version of the naive loop. One
     # replica takes the triangular block step at log_c = 20 and 40, eight
-    # the loop.
+    # the loop. Halved above 64 rows, both halves rescale too.
     n = 150
     rng = np.random.default_rng(7)
     k = np.r_[np.nan, rng.random(n)]  # k[0] is never read
     k[1:] /= k[1:].sum()
     f = k[1:]
-    for R in (1, 8):
+    for halve, R in [(volterra.HALVE_ABOVE, 1), (volterra.HALVE_ABOVE, 8),
+                     (64, 1), (64, 8)]:
+        monkeypatch.setattr(volterra, "HALVE_ABOVE", halve)
         logc = log_c - rng.random((n, R))
         x, e = renewal_solve_batch(k, f, np.exp(logc))
-        assert np.isfinite(x).all() and e[-1].min() > 0
+        assert np.isfinite(x).all() and e[n // 2 - 1].min() > 0
+        assert (e[-1] > e[n // 2]).all()
         logx = np.empty((n, R))
         for j in range(n):
             t = np.vstack([np.full(R, np.log(f[j])),
