@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from pinning_lab import analysis as an
-from pinning_lab import closed_sets as cs
 from pinning_lab import continuum as ct
 from pinning_lab import discrete_pinning as dp
 from pinning_lab import renewal as rn

@@ -21,8 +21,6 @@ class ClosedSetR:
 
     points: np.ndarray
     resolution: float = 1.0
-    contains_minus_inf: bool = False
-    contains_plus_inf: bool = False
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -36,8 +34,7 @@ class ClosedSetR:
         return len(self.points)
 
     def shift(self, c: float) -> "ClosedSetR":
-        return ClosedSetR(self.points + c, self.resolution,
-                          self.contains_minus_inf, self.contains_plus_inf)
+        return ClosedSetR(self.points + c, self.resolution)
 
 
 def from_points(points, resolution: float = 1.0) -> ClosedSetR:

@@ -200,14 +200,9 @@ def chaos_expansion_exact(kernel: RenewalKernel, rf: RenewalFunction,
         if max_order is not None:
             keep = newo <= max_order
             newp, newo = newp[keep], newo[keep]
-            newl = np.full(len(newp), i, dtype=np.int64)
-            prod = np.concatenate([prod, newp])
-            last = np.concatenate([last, newl])
-            order = np.concatenate([order, newo])
-        else:
-            prod = np.concatenate([prod, newp])
-            last = np.concatenate([last, np.full(len(newp), i, dtype=np.int64)])
-            order = np.concatenate([order, newo])
+        prod = np.concatenate([prod, newp])
+        last = np.concatenate([last, np.full(len(newp), i, dtype=np.int64)])
+        order = np.concatenate([order, newo])
     return float(np.sum(prod * u[r - last]) / u[r])
 
 

@@ -1,8 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 
 from pinning_lab import discrete_pinning as dp
 from pinning_lab import renewal as rn
+from pinning_lab import volterra
 from pinning_lab.rng import stream
 
 
@@ -268,6 +270,51 @@ class TestSampling:
         # the ratio of short-gap frequencies is insensitive to the horizon
         ratio = np.mean(gaps == 2) / np.mean(gaps == 1)
         assert ratio == pytest.approx(kernel_075.k[2] / kernel_075.k[1], abs=0.03)
+
+
+class TestMatchedKernel:
+    def test_matches_mpmath_deconvolution(self):
+        # K(n) = u(n) - sum_{m<n} K(m) u(n-m), term by term at 40 digits
+        alpha, c, n = 0.75, 0.5, 512
+        with mpmath.workdps(40):
+            u = [mpmath.mpf(1)] + [c * mpmath.mpf(j) ** (alpha - 1)
+                                   for j in range(1, n + 1)]
+            ref = [mpmath.mpf(0)]
+            for j in range(1, n + 1):
+                ref.append(u[j] - mpmath.fsum(ref[m] * u[j - m]
+                                              for m in range(1, j)))
+            ref = np.array([float(x) for x in ref[1:]])
+        k = rn.matched_power_kernel(alpha, n).k
+        assert k[0] == 0.0
+        assert np.max(np.abs(k[1:] / ref - 1.0)) <= 1e-10
+
+    def test_halved_solve_keeps_u(self, monkeypatch):
+        # the kernel's and u's 601 rows halve down to leaves of 75-76 rows,
+        # splitting the odd lengths 601, 301 and 151 on the way
+        monkeypatch.setattr(volterra, "HALVE_ABOVE", 128)
+        alpha, c, n = 0.6, 0.5, 601
+        kernel = rn.matched_power_kernel(alpha, n, c)
+        assert np.all(kernel.k >= 0)
+        u = rn.renewal_function(kernel, n).u
+        want = c * np.arange(1, n + 1, dtype=float) ** (alpha - 1.0)
+        assert u[0] == 1.0
+        assert np.max(np.abs(u[1:] / want - 1.0)) <= 1e-12
+
+    def test_negative_k_names_first_n(self, monkeypatch):
+        # a solve whose K(5) and K(10) came out negative
+        def solve(k, f, c):
+            x = f[:, None].copy()
+            x[[4, 9]] = -1e-3
+            return x, np.zeros(x.shape, dtype=np.int64)
+        monkeypatch.setattr(rn, "renewal_solve_batch", solve)
+        with pytest.raises(rn.KernelError, match=r"at n = 5$"):
+            rn.matched_power_kernel(0.75, 16)
+
+    @pytest.mark.parametrize("alpha, c", [(0.0, 0.5), (1.0, 0.5), (1.5, 0.5),
+                                          (0.75, 0.0), (0.75, 1.0)])
+    def test_bad_parameters_rejected(self, alpha, c):
+        with pytest.raises(rn.KernelError):
+            rn.matched_power_kernel(alpha, 64, c)
 
 
 class TestConditionedGLaw:
