@@ -25,7 +25,7 @@ class ClosedSetR:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
-        if pts.size and np.any(np.diff(pts) <= 0):
+        if (pts[1:] <= pts[:-1]).any():
             raise ValueError("points must be strictly increasing")
         if not self.resolution > 0:
             raise ValueError("resolution must be positive")

@@ -219,10 +219,11 @@ class PinnedSampler:
     w_j V(j) at j = N - m, with w_0 = w_N = 1, from one backward solve.
     The transition law from i is P(next = j) proportional to K(j-i) w_j V(j),
     normalized by V(i); its CDF is built when a draw first visits i, then
-    kept in rows as a memoryview of the array (row returns the array), and
-    a step finds the next point by bisect on that view. underflow is set
-    when some point i < N has w_i V(i) = 0 in floating point; such a point
-    is never visited, and if it is 0 itself, sample raises
+    kept in rows as a memoryview of the array (row returns the array). A
+    step finds the next point as bisect_left on that view would, in tiers
+    (_search): entries 0, 7 and 63, then a bisect of one bracket. underflow
+    is set when some point i < N has w_i V(i) = 0 in floating point; such a
+    point is never visited, and if it is 0 itself, sample raises
     FloatingPointError.
 
     sample draws its uniforms from rng in blocks, then rewinds the
@@ -259,7 +260,7 @@ class PinnedSampler:
         return view
 
     def sample(self, rng: np.random.Generator) -> ClosedSetR:
-        N, bg = self.N, rng.bit_generator
+        N, bg, rows = self.N, rng.bit_generator, self.rows
         # a path takes at most N steps, one uniform each: they are drawn in
         # blocks of min(N, 32), 64, 128, ..., and the generator is then
         # rewound to draw just the n used, also when a row raises
@@ -267,18 +268,38 @@ class PinnedSampler:
         us, block, pts, i, n = [], min(N, 32), [0], 0, 0
         try:
             while i < N:
-                view = self._view(i)
+                view = rows.get(i)
+                if view is None:
+                    view = self._view(i)
                 if n == len(us):
                     us += rng.random(block).tolist()
                     block *= 2
-                # on a non-decreasing CDF, searchsorted(side="left")
-                i += bisect_left(view, us[n]) + 1
+                i += _search(view, us[n]) + 1
                 n += 1
                 pts.append(i)
         finally:
             bg.state = start
             rng.random(n)
         return ClosedSetR(np.array(pts, dtype=float), resolution=1.0)
+
+
+def _search(cdf, u: float) -> int:
+    """bisect_left(cdf, u) on a non-decreasing row, in tiers: entries 0, 7
+    and 63 first, then a bisect of the first bracket that holds u. Most
+    jumps are short (at beta = 0 and N = 4,096, 50% are 1 and 89% at most
+    8): one probe, or at most five, against 13 for a bisect of the row."""
+    if u <= cdf[0]:
+        return 0
+    m = len(cdf)
+    if m <= 8:
+        return bisect_left(cdf, u, 1)
+    if u <= cdf[7]:
+        return bisect_left(cdf, u, 1, 7)
+    if m <= 64:
+        return bisect_left(cdf, u, 8)
+    if u <= cdf[63]:
+        return bisect_left(cdf, u, 8, 63)
+    return bisect_left(cdf, u, 64)
 
 
 def build_pinned_sampler(kernel: RenewalKernel, disorder: DisorderField,

@@ -379,10 +379,12 @@ def bessel_like_return_law(p_up: Callable, n_max: int,
     birth-death chain on the non-negative integers.
 
     K(n) = P(T = 2n) is computed by dynamic programming over the
-    (time, position) triangle; the mass not yet returned by time 2 n_max is
-    kept as the exact survival tail. A transient chain (escape probability
-    above escape_tol) is rejected, since the associated renewal process would
-    terminate.
+    (time, position) triangle, cut above the last position whose mass has
+    not underflowed to exactly 0 (about 38 sqrt(t) at time t; those zeros
+    stay 0, so the cut changes no bit); the mass not yet returned by time
+    2 n_max is kept as the exact survival tail. A transient chain (escape
+    probability above escape_tol) is rejected, since the associated renewal
+    process would terminate.
     """
     t_steps = 2 * n_max
     pu = p_up(np.arange(t_steps + 2))
@@ -408,6 +410,8 @@ def bessel_like_return_law(p_up: Callable, n_max: int,
         f[1] = 0.0
         f[1:top + 1] += down
         top = min(top + 1, t_steps)
+        while top > 1 and f[top] == 0.0 and f[top - 1] == 0.0:
+            top -= 1
     residual = float(f.sum())
 
     survival = np.empty(n_max + 1)

@@ -9,8 +9,8 @@ input longer than HALVE_ABOVE rows is halved, the first half's share of
 the later sums taken by one convolve over all replicas, so a long solve
 costs O(n log^2 n); a shorter one is blocked, each block taking its past
 by one matrix product and its own terms by a triangular solve per replica
-or a vectorized step per index. convolve also serves the Z profiles and
-the exact g-law.
+or, for many replicas, a step per index that is one BLAS matrix-vector
+product. convolve also serves the Z profiles and the exact g-law.
 
 The matched kernel's deconvolution (lag kernel -u) is the least benign
 input: against a long-double term-by-term reference its K is within
@@ -62,7 +62,9 @@ def renewal_solve_batch(k: np.ndarray, f: np.ndarray,
 
     Inside a block each replica solves (I - diag(c) Toe) x = c acc, Toe the
     block's strictly lower Toeplitz matrix of k, by one LAPACK dtrtrs call
-    when TRI_RATIO * R <= b; otherwise all replicas step one index at a time.
+    when TRI_RATIO * R <= b; otherwise all replicas step one index at a time,
+    each step's in-block terms one BLAS matrix-vector product with a
+    contiguous reversed copy of k[1..min(b, n)].
     """
     n, R = c.shape
     f = f[:, None] if f.ndim == 1 else f
@@ -83,6 +85,9 @@ def renewal_solve_batch(k: np.ndarray, f: np.ndarray,
     tri = TRI_RATIO * R <= b
     if tri:  # every full block has the same in-block matrix
         neg = -np.asfortranarray(toe[:b, :b])
+    else:  # k[a:0:-1] as krev[top - a:]: matmul skips BLAS on a negative
+        top = min(b, n)  # stride, and k may hold just n + 1 entries
+        krev = k[top:0:-1].copy()
     x = np.empty((n, R))
     e = np.zeros((n, R), dtype=np.int64)
     # the past on the current scale, x * 2**(e - cur); x itself until a rescale
@@ -101,7 +106,7 @@ def renewal_solve_batch(k: np.ndarray, f: np.ndarray,
                                       lower=1, unitdiag=1)[0]
         else:
             for a in range(m):
-                acc[a] += k[a:0:-1] @ past[j0:j0 + a]
+                acc[a] += krev[top - a:] @ past[j0:j0 + a]
                 past[j0 + a] = c[j0 + a] * acc[a]
         x[blk] = past[blk]
         e[blk] = cur

@@ -1,5 +1,9 @@
+from bisect import bisect_left
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta
 from scipy.stats import ks_2samp
 
@@ -342,6 +346,34 @@ def _advanced(seed, n):
     return rng
 
 
+# row entries and uniforms: a coarse grid, so that ties and u equal to an
+# entry are common, or any float in [0, 1]
+_ENTRY = st.one_of(st.integers(0, 16).map(lambda v: v / 16), st.floats(0, 1))
+_LADDER = list(np.linspace(1 / 200, 1, 200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cdf=st.lists(_ENTRY, min_size=1, max_size=200).map(sorted),
+       u=_ENTRY, pick=st.integers(0, 199), on_entry=st.booleans())
+@example(cdf=_LADDER[:7], u=_LADDER[6], pick=0, on_entry=False)
+@example(cdf=_LADDER[:8], u=_LADDER[7], pick=0, on_entry=False)
+@example(cdf=_LADDER[:9], u=0.0425, pick=0, on_entry=False)
+@example(cdf=_LADDER[:63], u=_LADDER[40], pick=0, on_entry=False)
+@example(cdf=_LADDER[:64], u=_LADDER[63], pick=0, on_entry=False)
+@example(cdf=_LADDER[:65], u=_LADDER[64], pick=0, on_entry=False)
+@example(cdf=_LADDER, u=_LADDER[63], pick=0, on_entry=False)
+@example(cdf=_LADDER, u=0.9999, pick=0, on_entry=False)
+@example(cdf=[0.5] * 65, u=0.5, pick=0, on_entry=False)
+@example(cdf=[0.1] * 9, u=0.2, pick=0, on_entry=False)  # past the last entry
+def test_tiered_search_is_bisect_left(cdf, u, pick, on_entry):
+    # entries 0, 7 and 63 split a row into tiers; rows of 1-200 entries lie
+    # on both sides of 8 and 64
+    if on_entry:
+        u = cdf[pick % len(cdf)]
+    view = memoryview(np.array(cdf))
+    assert dp._search(view, u) == bisect_left(view, u)
+
+
 class TestSamplerStream:
     """Draws, rows and generator use equal the scalar per-step loop."""
 
@@ -370,7 +402,7 @@ class TestSamplerStream:
         assert rng.random() == ref.random() == _advanced(39, 1).random()
 
     @pytest.mark.parametrize("N, beta_hat, h", [
-        (2048, 0.0, 0.0), (512, 0.5, 0.0), (1024, 0.0, 50.0)])
+        (2048, 0.0, 0.0), (4096, 0.0, 0.0), (512, 0.5, 0.0), (1024, 0.0, 50.0)])
     def test_matches_scalar_loop(self, kernel, N, beta_hat, h):
         d = dp.sample_disorder("standard-normal", N - 1, stream(40))
         beta = (dp.scale_couplings(beta_hat, 0.0, N, kernel).beta_N

@@ -36,6 +36,8 @@ TRI = BLOCK // TRI_RATIO
        seed=st.integers(0, 2 ** 32 - 1))
 @example(n=1, R=1, seed=0)
 @example(n=1, R=TRI + 1, seed=5)
+@example(n=5, R=TRI + 1, seed=10)  # the step path on k of n + 1 entries
+@example(n=BLOCK - 1, R=TRI + 1, seed=11)
 @example(n=BLOCK - 1, R=3, seed=1)
 @example(n=BLOCK, R=2, seed=2)
 @example(n=2 * BLOCK, R=1, seed=3)
