@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammainccinv, gammaln, kolmogi, kolmogorov
+from scipy.special import gammaincinv, gammaln, kolmogi, kolmogorov
 
 from pinning_lab import closed_sets as cs
 from pinning_lab import continuum as ct
@@ -184,7 +184,7 @@ def _dirichlet_qmc(chi: float, k: int, seed: int, log2_n: int = 18) -> float:
     sob = qmc.Sobol(d=k + 1, scramble=True, seed=seed)
     u = sob.random_base2(log2_n)
     u = np.clip(u, 1e-12, 1 - 1e-12)
-    g = gammainccinv(a, 1.0 - u)  # Gamma(a) quantiles
+    g = gammaincinv(a, u)  # Gamma(a) quantiles
     x = g / g.sum(axis=1, keepdims=True)
     w = np.prod(x ** (1.0 - a - chi), axis=1)
     const = np.exp((k + 1) * gammaln(a) - gammaln((k + 1) * a))
@@ -435,10 +435,7 @@ def experiment_convergence(config: ConvergenceConfig | None = None,
     for i, (N, R) in enumerate(zip(cfg.n_ladder, cfg.replicas)):
         rng_d = stream(seed, 10 + i)
         scale = dp.scale_couplings(cfg.beta_hat, cfg.h_hat, N, kernel)
-        if cfg.disorder == "standard-normal":
-            om = rng_d.standard_normal((R, N - 1))
-        else:
-            om = rng_d.integers(0, 2, (R, N - 1)) * 2.0 - 1.0
+        om = dp.sample_disorder(cfg.disorder, (R, N - 1), rng_d).omega
         zn = dp.partition_dp_batch(kernel, rf, om, cfg.disorder,
                                    scale.beta_N, scale.h_N, N)
         stat, p = ks_two_sample(zn, z_cont)

@@ -35,7 +35,8 @@ def lambda_of(distribution: str, t):
 
 @dataclass(frozen=True)
 class DisorderField:
-    """Realization of the i.i.d. environment omega_1..omega_{N-1}."""
+    """Realization of the i.i.d. environment omega_1..omega_{N-1}, or of
+    several, one row each."""
 
     omega: np.ndarray
     distribution: str
@@ -45,15 +46,17 @@ class DisorderField:
 
     @property
     def n_sites(self) -> int:
-        return len(self.omega)
+        return self.omega.shape[-1]
 
 
-def sample_disorder(distribution: str, n_sites: int,
+def sample_disorder(distribution: str, shape: int | tuple[int, ...],
                     rng: np.random.Generator) -> DisorderField:
+    """i.i.d. omega of the given shape: n_sites, or (R, n_sites) for R
+    replicas drawn one after another from rng."""
     if distribution == "standard-normal":
-        om = rng.standard_normal(n_sites)
+        om = rng.standard_normal(shape)
     elif distribution == "rademacher":
-        om = rng.integers(0, 2, n_sites) * 2.0 - 1.0
+        om = rng.integers(0, 2, shape) * 2.0 - 1.0
     else:
         raise ValueError(f"unsupported disorder distribution {distribution!r}")
     return DisorderField(omega=om, distribution=distribution)
@@ -308,8 +311,7 @@ def build_pinned_sampler(kernel: RenewalKernel, disorder: DisorderField,
     in reverse order, N-1 down to 1, with a last weight 1 for site 0."""
     if N - 1 > disorder.n_sites:
         raise ValueError("disorder field too short for horizon N")
-    if N > kernel.n_max and kernel.survival[kernel.n_max] > 1e-15:
-        raise KernelError("horizon exceeds the tabulated kernel range")
+    kernel.check_horizon(N)
     arg = beta * disorder.omega[:N - 1] - disorder.lam(beta) + h
     k, x, e = _transfer(kernel, arg[::-1, None], beta, h)
     mass = np.concatenate([[1.0], x[:, 0]])
@@ -327,20 +329,15 @@ def enumerate_pinned_exact(kernel: RenewalKernel, disorder: DisorderField,
     """
     if N > 16:
         raise ValueError("exhaustive enumeration capped at N <= 16")
+    kernel.check_horizon(N)
+    k = np.pad(kernel.k[:N + 1], (0, max(0, N - kernel.n_max)))
     w = np.exp(beta * disorder.omega[:N - 1] - disorder.lam(beta) + h)
     out = {}
     total = 0.0
     for mask in range(2 ** (N - 1)):
         sites = [i + 1 for i in range(N - 1) if mask >> i & 1]
-        pts = [0] + sites + [N]
-        gaps = np.diff(pts)
-        if np.any(gaps > kernel.n_max):
-            if kernel.survival[kernel.n_max] > 1e-15:
-                raise KernelError("gap exceeds tabulated kernel range")
-            weight = 0.0
-        else:
-            weight = float(np.prod(kernel.k[gaps])
-                           * np.prod(w[[s - 1 for s in sites]]))
+        gaps = np.diff([0] + sites + [N])
+        weight = float(np.prod(k[gaps]) * np.prod(w[[s - 1 for s in sites]]))
         out[frozenset(sites)] = weight
         total += weight
     return {k: v / total for k, v in out.items()}

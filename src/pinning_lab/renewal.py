@@ -60,24 +60,6 @@ CONSTANT_L = SlowlyVarying()
 
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """Declarative description of an inter-arrival law.
-
-    family "power-law": K(n) proportional to L(n) / n^(1+alpha), normalized
-    including the analytic tail beyond n_max.
-    family "explicit": finitely supported gap probabilities, intended for
-    hand-checkable tests; must be normalized already.
-    """
-
-    family: str
-    alpha: float | None = None
-    n_max: int = 1000
-    sv: SlowlyVarying = CONSTANT_L
-    probs: tuple[float, ...] | None = None
-    allow_irregular: bool = False
-
-
-@dataclass(frozen=True)
 class RenewalKernel:
     """Tabulated gap law with exact analytic tail continuation.
 
@@ -90,7 +72,6 @@ class RenewalKernel:
     survival: np.ndarray
     slowly_varying: SlowlyVarying = CONSTANT_L
     mean: float = np.inf
-    regular: bool = True
     tail_fit: dict | None = None
 
     @property
@@ -103,6 +84,24 @@ class RenewalKernel:
 
     def L(self, n):
         return self.slowly_varying(n)
+
+    def check_horizon(self, n: int) -> None:
+        """KernelError if a gap up to n can leave the table: n > n_max while
+        the law has mass beyond n_max."""
+        if n > self.n_max and self.survival[self.n_max] > 1e-15:
+            raise KernelError(f"horizon {n} exceeds the tabulated kernel "
+                              f"range {self.n_max}")
+
+
+def _kernel(alpha: float, k: np.ndarray, tail: float,
+            **fields) -> RenewalKernel:
+    """The one table constructor: survival[n] = tail + sum_{m > n} K(m),
+    cumulated backward from the mass beyond n_max, which keeps sf accurate
+    deep in the tail."""
+    survival = np.empty(len(k))
+    survival[-1] = tail
+    survival[:-1] = tail + np.cumsum(k[:0:-1])[::-1]
+    return RenewalKernel(alpha=alpha, k=k, survival=survival, **fields)
 
 
 def _power_tail_sum(alpha: float, sv: SlowlyVarying, start: int) -> float:
@@ -120,71 +119,30 @@ def _power_tail_sum(alpha: float, sv: SlowlyVarying, start: int) -> float:
     return head + rest
 
 
-def build_kernel(spec: KernelSpec) -> RenewalKernel:
-    """Construct a normalized RenewalKernel from a spec.
-
-    Rejects alpha <= 0 and alpha == 1 (the theory is developed for
-    alpha in (0,1) and alpha > 1 only) and non-normalizable specs.
-    Explicit kernels that do not satisfy the regular-variation tail
-    assumption are accepted with a warning when allow_irregular is set.
-    """
-    if spec.family == "power-law":
-        alpha = spec.alpha
-        if alpha is None or alpha <= 0:
-            raise KernelError("tail exponent alpha must be positive")
-        if alpha == 1.0:
-            raise KernelError("alpha = 1 is not supported")
-        if spec.n_max < 2:
-            raise KernelError("n_max must be at least 2")
-        ns = np.arange(1, spec.n_max + 1, dtype=float)
-        raw = spec.sv(ns) / ns ** (1.0 + alpha)
-        tail_raw = _power_tail_sum(alpha, spec.sv, spec.n_max + 1)
-        total = raw.sum() + tail_raw
-        if not np.isfinite(total) or total <= 0:
-            raise KernelError("kernel spec is not normalizable")
-        k = np.zeros(spec.n_max + 1)
-        k[1:] = raw / total
-        survival = np.empty(spec.n_max + 1)
-        survival[spec.n_max] = tail_raw / total
-        # backward exact cumulation keeps sf accurate in the deep tail
-        survival[:-1] = survival[spec.n_max] + np.cumsum(k[:0:-1])[::-1]
-        mean = np.inf
-        if alpha > 1:
-            head = float(np.sum(ns * k[1:]))
-            mean = head + _power_tail_sum(alpha - 1.0, spec.sv, spec.n_max + 1) / total
-        return RenewalKernel(alpha=alpha, k=k, survival=survival,
-                             slowly_varying=spec.sv, mean=mean, regular=True)
-
-    if spec.family == "explicit":
-        if not spec.probs:
-            raise KernelError("explicit family needs gap probabilities")
-        probs = np.asarray(spec.probs, dtype=float)
-        if np.any(probs <= 0):
-            raise KernelError("all tabulated gap probabilities must be positive")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise KernelError("explicit gap probabilities must sum to 1")
-        if not spec.allow_irregular:
-            raise KernelError(
-                "finitely supported kernels violate the heavy-tail assumption; "
-                "pass allow_irregular=True for hand-check use")
-        warnings.warn("explicit kernel does not satisfy the regular-variation "
-                      "tail assumption; accepted for hand-check use only",
-                      stacklevel=2)
-        k = np.zeros(len(probs) + 1)
-        k[1:] = probs
-        survival = np.empty(len(k))
-        survival[0] = 1.0
-        survival[1:] = np.clip(1.0 - np.cumsum(k[1:]), 0.0, 1.0)
-        mean = float(np.sum(np.arange(len(k)) * k))
-        return RenewalKernel(alpha=spec.alpha if spec.alpha else np.nan,
-                             k=k, survival=survival, mean=mean, regular=False)
-
-    raise KernelError(f"unknown kernel family {spec.family!r}")
-
-
 def power_law_kernel(alpha: float, n_max: int,
                      sv: SlowlyVarying = CONSTANT_L) -> RenewalKernel:
-    return build_kernel(KernelSpec("power-law", alpha=alpha, n_max=n_max, sv=sv))
+    """K(n) proportional to L(n) / n^(1+alpha), normalized including the
+    analytic tail beyond n_max. Rejects alpha <= 0 and alpha == 1 (the
+    theory is developed for alpha in (0,1) and alpha > 1 only) and an L
+    that does not normalize."""
+    if not alpha > 0:
+        raise KernelError("tail exponent alpha must be positive")
+    if alpha == 1.0:
+        raise KernelError("alpha = 1 is not supported")
+    if n_max < 2:
+        raise KernelError("n_max must be at least 2")
+    ns = np.arange(1, n_max + 1, dtype=float)
+    raw = sv(ns) / ns ** (1.0 + alpha)
+    tail_raw = _power_tail_sum(alpha, sv, n_max + 1)
+    total = raw.sum() + tail_raw
+    if not np.isfinite(total) or total <= 0:
+        raise KernelError("kernel is not normalizable")
+    k = np.r_[0.0, raw / total]
+    mean = np.inf
+    if alpha > 1:
+        mean = (float(np.sum(ns * k[1:]))
+                + _power_tail_sum(alpha - 1.0, sv, n_max + 1) / total)
+    return _kernel(alpha, k, tail_raw / total, slowly_varying=sv, mean=mean)
 
 
 def matched_power_kernel(alpha: float, n_max: int,
@@ -197,7 +155,8 @@ def matched_power_kernel(alpha: float, n_max: int,
     unit weights, O(n log^2 n). A K < 0 is a KernelError naming the first
     such n. Against a long-double term-by-term reference K is within
     2.8e-10 relative at n = 2,048 and 2.9e-8 at 65,536; renewal_function's
-    u is within 5e-15 of c n^(alpha-1) at 4,096 and 6.1e-12 at 2^20.
+    u is within 5e-15 of c n^(alpha-1) at 4,096 and 6.1e-12 at 2^20. The
+    mass beyond n_max is 1 - sum K, as the renewal is recurrent.
 
     The gap law has a regularly varying tail with effective slowly varying
     constant C_alpha / c, but none of the slowly decaying corrections a
@@ -217,20 +176,17 @@ def matched_power_kernel(alpha: float, n_max: int,
     if np.any(k < 0):
         raise KernelError("deconvolved kernel negative at "
                           f"n = {np.argmax(k < 0)}")
-    survival = np.empty(n_max + 1)
-    survival[0] = 1.0
-    survival[1:] = np.clip(1.0 - np.cumsum(k[1:]), 0.0, 1.0)
     sv = SlowlyVarying("constant", value=stable_constant(alpha) / c)
-    return RenewalKernel(alpha=alpha, k=k, survival=survival,
-                         slowly_varying=sv, mean=np.inf, regular=True)
+    return _kernel(alpha, k, max(1.0 - k.sum(), 0.0), slowly_varying=sv)
 
 
 def two_point_kernel(p1: float = 0.5) -> RenewalKernel:
-    """K(1) = p1, K(2) = 1 - p1: the standard hand-check kernel."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_kernel(KernelSpec("explicit", probs=(p1, 1.0 - p1),
-                                       allow_irregular=True))
+    """K(1) = p1, K(2) = 1 - p1 for 0 < p1 <= 1: the standard hand-check
+    kernel. It has no tail, so alpha is nan and any horizon is allowed."""
+    if not 0.0 < p1 <= 1.0:
+        raise KernelError("need 0 < p1 <= 1")
+    return _kernel(np.nan, np.array([0.0, p1, 1.0 - p1]), 0.0,
+                   mean=p1 + 2.0 * (1.0 - p1))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +198,6 @@ class RenewalFunction:
     """u[n] = P(n in tau), computed exactly from the kernel."""
 
     u: np.ndarray
-    alpha: float
-    slowly_varying: SlowlyVarying
     kernel: RenewalKernel
 
     @property
@@ -257,13 +211,11 @@ def renewal_function(kernel: RenewalKernel, n_max: int) -> RenewalFunction:
     forcing K and unit weights, that never rescales as sum K <= 1. Up to
     4096 u is within a few 1e-15 of the term-by-term sums; above that the
     solver's FFT halving adds round-off of order 1e-13 relative at 20000."""
-    if n_max > kernel.n_max and kernel.regular:
-        raise KernelError("n_max exceeds the tabulated kernel range")
+    kernel.check_horizon(n_max)
     k = np.zeros(n_max + 1)
     k[1:len(kernel.k)] = kernel.k[1:n_max + 1]
     u = np.ldexp(*renewal_solve_batch(k, k[1:], np.ones((n_max, 1))))
-    return RenewalFunction(u=np.r_[1.0, u[:, 0]], alpha=kernel.alpha,
-                           slowly_varying=kernel.slowly_varying, kernel=kernel)
+    return RenewalFunction(u=np.r_[1.0, u[:, 0]], kernel=kernel)
 
 
 def stable_constant(alpha: float) -> float:
@@ -288,7 +240,7 @@ def check_asymptotics(rf: RenewalFunction, n_points: int = 12) -> RatioTrace:
     For alpha > 1:      r(n) = u(n) E[tau_1].
     Either trace approaches 1 as n grows.
     """
-    alpha = rf.alpha
+    alpha = rf.kernel.alpha
     n_max = rf.n_max
     ns = np.unique(np.geomspace(16, n_max, n_points).astype(int))
     if 0 < alpha < 1:
@@ -412,11 +364,6 @@ def bessel_like_return_law(p_up: Callable, n_max: int,
         top = min(top + 1, t_steps)
         while top > 1 and f[top] == 0.0 and f[top - 1] == 0.0:
             top -= 1
-    residual = float(f.sum())
-
-    survival = np.empty(n_max + 1)
-    survival[n_max] = residual
-    survival[:-1] = residual + np.cumsum(k[:0:-1])[::-1]
 
     lo, hi = max(n_max // 20, 8), n_max
     ns = np.arange(lo, hi + 1)
@@ -425,9 +372,8 @@ def bessel_like_return_law(p_up: Callable, n_max: int,
     fitted_alpha = float(-slope - 1.0)
     fit = {"fitted_alpha": fitted_alpha, "fit_range": (lo, hi),
            "escape_probability": esc}
-    return RenewalKernel(alpha=fitted_alpha, k=k, survival=survival,
-                         mean=np.inf if fitted_alpha < 1 else np.nan,
-                         regular=True, tail_fit=fit)
+    return _kernel(fitted_alpha, k, float(f.sum()),
+                   mean=np.inf if fitted_alpha < 1 else np.nan, tail_fit=fit)
 
 
 @dataclass(frozen=True)
@@ -492,8 +438,7 @@ def sample_renewal(kernel: RenewalKernel, N: int,
     """Renewal point set in {0..N}, as a sorted integer array containing 0:
     i.i.d. gaps until the horizon is passed. (Conditioned on N in tau, it
     is the pinned sampler of discrete_pinning with zero coupling.)"""
-    if N > kernel.n_max and kernel.survival[kernel.n_max] > 1e-15:
-        raise KernelError("horizon exceeds the tabulated kernel range")
+    kernel.check_horizon(N)
     cdf = memoryview(np.cumsum(kernel.k[1:N + 1]))
     last = cdf[-1] if len(cdf) else 0.0
     pts = [0]

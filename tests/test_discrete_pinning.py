@@ -62,6 +62,16 @@ class TestDisorder:
         d = dp.sample_disorder("rademacher", 1000, stream(1))
         assert set(np.unique(d.omega)) == {-1.0, 1.0}
 
+    def test_replica_shape_keeps_stream(self):
+        # an (R, n) draw is the stream the convergence ladder drew inline
+        got = dp.sample_disorder("standard-normal", (3, 7), stream(9, 10))
+        want = stream(9, 10).standard_normal((3, 7))
+        np.testing.assert_array_equal(got.omega, want)
+        got = dp.sample_disorder("rademacher", (3, 7), stream(9, 10))
+        want = stream(9, 10).integers(0, 2, (3, 7)) * 2.0 - 1.0
+        np.testing.assert_array_equal(got.omega, want)
+        assert got.n_sites == 7
+
     def test_reproducible(self):
         a = dp.sample_disorder("standard-normal", 100, stream(5, 3))
         b = dp.sample_disorder("standard-normal", 100, stream(5, 3))

@@ -41,24 +41,14 @@ class TestBuildKernel:
         assert kernel_075.sf(n) == pytest.approx(
             1.0 - kernel_075.k[1:n + 1].sum(), abs=1e-12)
 
-    def test_two_point_accepted_with_warning(self):
-        with pytest.warns(UserWarning):
-            k = rn.build_kernel(rn.KernelSpec("explicit", probs=(0.5, 0.5),
-                                              allow_irregular=True))
-        assert k.k[1] == 0.5 and k.k[2] == 0.5
-
-    def test_two_point_rejected_without_flag(self):
-        with pytest.raises(rn.KernelError):
-            rn.build_kernel(rn.KernelSpec("explicit", probs=(0.5, 0.5)))
-
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
     def test_bad_alpha_rejected(self, alpha):
         with pytest.raises(rn.KernelError):
-            rn.build_kernel(rn.KernelSpec("power-law", alpha=alpha, n_max=100))
+            rn.power_law_kernel(alpha, 100)
 
     def test_log_power_l(self):
         sv = rn.SlowlyVarying(kind="log-power", power=0.5)
-        k = rn.build_kernel(rn.KernelSpec("power-law", alpha=0.75, n_max=5000, sv=sv))
+        k = rn.power_law_kernel(0.75, 5000, sv)
         total = k.k.sum() + k.survival[k.n_max]
         assert abs(total - 1.0) < 1e-10
 
@@ -69,6 +59,87 @@ class TestBuildKernel:
         head = np.sum(ns * k.k[1:])
         assert k.mean > head
         assert k.mean == pytest.approx(head, rel=0.02)
+
+
+_KERNELS = {
+    "power-0.75": lambda: rn.power_law_kernel(0.75, 2000),
+    "power-1.5": lambda: rn.power_law_kernel(1.5, 2000),
+    "power-log-L": lambda: rn.power_law_kernel(
+        0.75, 2000, rn.SlowlyVarying(kind="log-power", power=0.5)),
+    "matched": lambda: rn.matched_power_kernel(0.75, 2000),
+    "bessel": lambda: rn.bessel_like_return_law(rn.bessel_p_up(0.75), 500),
+    "two-point-0.3": lambda: rn.two_point_kernel(0.3),
+    "two-point-1": lambda: rn.two_point_kernel(1.0),
+}
+
+def _free(N):
+    return dp.DisorderField(np.zeros(N - 1), "standard-normal")
+
+
+_HORIZON_CONSUMERS = {
+    "renewal_function": lambda k, N: rn.renewal_function(k, N),
+    "sample_renewal": lambda k, N: rn.sample_renewal(k, N, stream(0)),
+    "build_pinned_sampler": lambda k, N: dp.build_pinned_sampler(
+        k, _free(N), 0.0, 0.0, N),
+    "enumerate_pinned_exact": lambda k, N: dp.enumerate_pinned_exact(
+        k, _free(N), 0.0, 0.0, N),
+}
+
+
+class TestKernelRules:
+    """The table invariants every builder keeps, and the one horizon rule
+    (RenewalKernel.check_horizon) that every consumer of a table applies."""
+
+    @pytest.mark.parametrize("name", list(_KERNELS))
+    def test_table_invariants(self, name):
+        k = _KERNELS[name]()
+        assert k.k[0] == 0.0 and np.all(k.k >= 0)
+        assert k.survival.shape == k.k.shape
+        assert np.all(np.diff(k.survival) <= 0)
+        assert abs(k.k.sum() + k.survival[k.n_max] - 1.0) <= 1e-12
+        np.testing.assert_allclose(k.survival, 1.0 - np.cumsum(k.k),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("consumer", list(_HORIZON_CONSUMERS))
+    def test_horizon_past_table(self, consumer):
+        # n_max = 8: the tail beyond it has mass, so N = 9 must raise, while
+        # N = n_max is inside the table
+        run = _HORIZON_CONSUMERS[consumer]
+        kernel = rn.power_law_kernel(0.75, 8)
+        run(kernel, 8)
+        with pytest.raises(rn.KernelError, match="horizon 9 exceeds"):
+            run(kernel, 9)
+        # a finitely supported law has nothing past its table
+        run(rn.two_point_kernel(0.3), 9)
+
+    def test_two_point_past_table_values(self):
+        # K = 0 past the table: u solves u(n) = p u(n-1) + (1-p) u(n-2), and
+        # every configuration of gaps 1 and 2 keeps its mass
+        p = 0.3
+        kernel = rn.two_point_kernel(p)
+        u = rn.renewal_function(kernel, 9).u
+        want = [1.0, p]
+        for _ in range(8):
+            want.append(p * want[-1] + (1.0 - p) * want[-2])
+        np.testing.assert_allclose(u, want, rtol=1e-14)
+        law = dp.enumerate_pinned_exact(kernel, _free(9), 0.0, 0.0, 9)
+        assert len(law) == 2 ** 8
+        for sites, prob in law.items():
+            gaps = np.diff([0, *sorted(sites), 9])
+            expect = np.prod(kernel.k[gaps]) / u[9] if gaps.max() <= 2 else 0.0
+            assert prob == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("p1", [0.0, -0.1, 1.0 + 1e-12, np.nan])
+    def test_two_point_bad_p1_rejected(self, p1):
+        with pytest.raises(rn.KernelError):
+            rn.two_point_kernel(p1)
+
+    def test_two_point_values(self):
+        k = rn.two_point_kernel(0.3)
+        np.testing.assert_array_equal(k.k, [0.0, 0.3, 0.7])
+        np.testing.assert_array_equal(k.survival, [1.0, 0.7, 0.0])
+        assert k.mean == pytest.approx(1.7, rel=1e-15)
+        assert np.isnan(k.alpha)
 
 
 class TestRenewalFunction:
@@ -222,9 +293,7 @@ class TestSampling:
         assert rng.random() == ref.random()
 
     def test_degenerate_kernel_full_set(self):
-        with pytest.warns(UserWarning):
-            k = rn.build_kernel(rn.KernelSpec("explicit", probs=(1.0 - 1e-15,),
-                                              allow_irregular=True))
+        k = rn.two_point_kernel(1.0)
         pts = rn.sample_renewal(k, 10, rng=stream(1))
         np.testing.assert_array_equal(pts, np.arange(11))
 
