@@ -4,8 +4,8 @@ A set is stored as its sorted array of resolved points together with the
 resolution it was generated at; dyadic samplers at level n carry resolution
 2^-n. The module provides the last-point / next-point maps g_t and d_t, the
 Fell-Matheron metric (Hausdorff distance after arctan compactification),
-restricted finite-dimensional extraction of (g, d) pairs, and the fractal
-diagnostics used downstream: dyadic box counts and covering sums.
+and the fractal diagnostics used downstream: dyadic box counts and
+covering sums.
 """
 
 from __future__ import annotations
@@ -97,39 +97,6 @@ def fm_distance(C1: ClosedSetR, C2: ClosedSetR) -> float:
     a, b = _compactified(C1), _compactified(C2)
     return max(_directed_hausdorff_sorted(a, b),
                _directed_hausdorff_sorted(b, a))
-
-
-# ---------------------------------------------------------------------------
-# restricted finite-dimensional extraction
-
-
-@dataclass(frozen=True)
-class RestrictedFdd:
-    times: np.ndarray
-    pairs: np.ndarray  # shape (k, 2): rows (g_i, d_i)
-    on_event: bool
-
-
-def restricted_fdd_extract(C: ClosedSetR, times) -> RestrictedFdd:
-    """(g_{t_i}, d_{t_i}) pairs plus the restriction event.
-
-    on_event is true iff the set meets every inter-time gap (t_i, t_{i+1}]
-    for i = 1..k-1, which is exactly when the pair vector satisfies the
-    interleaving constraints d_i <= g_{i+1} ... realized here directly on
-    the point array.
-    """
-    ts = np.asarray(times, dtype=float)
-    if ts.size > 1 and np.any(np.diff(ts) <= 0):
-        raise ValueError("times must be strictly increasing")
-    pairs = np.array([[g_map(C, t), d_map(C, t)] for t in ts])
-    on = True
-    for i in range(len(ts) - 1):
-        lo = np.searchsorted(C.points, ts[i], side="right")
-        hi = np.searchsorted(C.points, ts[i + 1], side="right")
-        if hi == lo:
-            on = False
-            break
-    return RestrictedFdd(times=ts, pairs=pairs, on_event=on)
 
 
 # ---------------------------------------------------------------------------

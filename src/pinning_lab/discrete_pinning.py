@@ -213,6 +213,10 @@ def chaos_expansion_exact(kernel: RenewalKernel, rf: RenewalFunction,
 # exact Gibbs sampling
 
 
+ROW_START = 16  # entries in a transition row's first prefix
+ROW_GROWTH = 4  # factor by which a prefix grows when a draw lies past it
+
+
 @dataclass(frozen=True)
 class PinnedSampler:
     """Sequential sampler for the conditioned pinning Gibbs measure.
@@ -220,14 +224,20 @@ class PinnedSampler:
     V(j) is the weighted partition mass from j to N: interior sites carry
     their Gibbs weight w, the endpoint N does not. mass[m] 2**exp2[m] is
     w_j V(j) at j = N - m, with w_0 = w_N = 1, from one backward solve.
-    The transition law from i is P(next = j) proportional to K(j-i) w_j V(j),
-    normalized by V(i); its CDF is built when a draw first visits i, then
-    kept in rows as a memoryview of the array (row returns the array). A
-    step finds the next point as bisect_left on that view would, in tiers
-    (_search): entries 0, 7 and 63, then a bisect of one bracket. underflow
-    is set when some point i < N has w_i V(i) = 0 in floating point; such a
-    point is never visited, and if it is 0 itself, sample raises
-    FloatingPointError.
+    The transition law from i is P(next = j) = K(j-i) w_j V(j) / V(i), and
+    inv[i] holds 1/V(i) on the scale of row i's entries. A row is kept in
+    rows as a memoryview of a prefix of its CDF, the cumulative sum of
+    those terms times inv[i]: ROW_START entries when a draw first visits i,
+    grown ROW_GROWTH-fold, up to N - i, only when a uniform lies past the
+    prefix (row returns the full row). Prefixes are exact prefixes of the
+    full row, whose last entry is 1 up to round-off; when even the full
+    row ends below the uniform, the step goes to N. A step finds the next
+    point as bisect_left on the row would, in tiers (_search): entries 0,
+    7 and 63, then a bisect of one bracket. norm_error is the largest
+    |last entry - 1| over the rows built to full length. underflow is set
+    when some point i < N has w_i V(i) = 0 in floating point; such a point
+    is never visited, and if it is 0 itself, or its full row holds no mass,
+    sample raises FloatingPointError.
 
     sample draws its uniforms from rng in blocks, then rewinds the
     generator, so that it ends exactly as after one scalar rng.random() per
@@ -239,28 +249,53 @@ class PinnedSampler:
     k: np.ndarray  # K(0..N)
     mass: np.ndarray
     exp2: np.ndarray
+    inv: np.ndarray  # 1/V(i) on row i's scale, i = 0..N-1
     underflow: bool
     rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def row(self, i: int) -> np.ndarray:
         """CDF of the next point over j = i+1..N."""
-        return self._view(i).obj
+        return self._view(i, self.N - i).obj
 
-    def _view(self, i: int) -> memoryview:
-        """The row from i as a memoryview of its CDF, built on first use."""
+    @property
+    def norm_error(self) -> float:
+        """Largest |full-row sum / V(i) - 1| over the rows built so far."""
+        return max((abs(v[-1] - 1.0) for i, v in self.rows.items()
+                    if len(v) == self.N - i), default=0.0)
+
+    def _view(self, i: int, n: int = ROW_START) -> memoryview:
+        """The row from i over its first min(n, N - i) entries, kept."""
         view = self.rows.get(i)
-        if view is None:
-            top = self.N - i - 1  # m = N - j runs from top down to 0
-            w = self.mass[top::-1]
-            # exp2 is non-decreasing, so equal ends mean a zero shift
-            if self.exp2[top] != self.exp2[0]:
-                w = np.ldexp(w, self.exp2[top::-1] - self.exp2[top])
-            cdf = np.cumsum(self.k[1:top + 2] * w)
-            if not cdf[-1] > 0:
-                raise FloatingPointError(f"zero backward mass at point {i}")
-            cdf /= cdf[-1]
-            view = self.rows[i] = memoryview(cdf)
+        n = min(n, self.N - i)
+        if view is not None and len(view) >= n:
+            return view
+        if not self.inv[i] < np.inf:
+            raise FloatingPointError(f"zero backward mass at point {i}")
+        top = self.N - i - 1  # m = N - j runs from top down
+        w = self.mass[::-1][i + 1:i + 1 + n]
+        # exp2 is non-decreasing, so equal ends mean a zero shift
+        if self.exp2[top] != self.exp2[top + 1 - n]:
+            w = np.ldexp(w, self.exp2[::-1][i + 1:i + 1 + n] - self.exp2[top])
+        # np.cumsum, without its call overhead, large beside a short row
+        cdf = np.add.accumulate(self.k[1:n + 1] * w)
+        if n == top + 1 and not cdf[-1] > 0:
+            raise FloatingPointError(f"zero backward mass at point {i}")
+        cdf *= self.inv[i]
+        view = self.rows[i] = memoryview(cdf)
         return view
+
+    def _past(self, i: int, u: float) -> int:
+        """bisect_left(row, u) for a u past the kept prefix of row i: the
+        prefix grows until it holds u; the last index if the full row ends
+        below u."""
+        view = self.rows[i]
+        while len(view) < self.N - i:
+            lo = len(view)
+            view = self._view(i, lo * ROW_GROWTH)
+            j = bisect_left(view, u, lo)
+            if j < len(view):
+                return j
+        return len(view) - 1
 
     def sample(self, rng: np.random.Generator) -> ClosedSetR:
         N, bg, rows = self.N, rng.bit_generator, self.rows
@@ -277,7 +312,10 @@ class PinnedSampler:
                 if n == len(us):
                     us += rng.random(block).tolist()
                     block *= 2
-                i += _search(view, us[n]) + 1
+                j = _search(view, us[n])
+                if j == len(view):
+                    j = self._past(i, us[n])
+                i += j + 1
                 n += 1
                 pts.append(i)
         finally:
@@ -315,8 +353,12 @@ def build_pinned_sampler(kernel: RenewalKernel, disorder: DisorderField,
     arg = beta * disorder.omega[:N - 1] - disorder.lam(beta) + h
     k, x, e = _transfer(kernel, arg[::-1, None], beta, h)
     mass = np.concatenate([[1.0], x[:, 0]])
-    return PinnedSampler(N=N, k=k, mass=mass,
-                         exp2=np.concatenate([[0], e[:, 0]]),
+    exp2 = np.concatenate([[0], e[:, 0]])
+    # V(i) = mass[N-i] 2**exp2[N-i] / w_i, on row i's scale 2**exp2[N-i-1]
+    w = np.concatenate([[1.0], np.exp(arg)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.ldexp(w / mass[:0:-1], exp2[-2::-1] - exp2[:0:-1])
+    return PinnedSampler(N=N, k=k, mass=mass, exp2=exp2, inv=inv,
                          underflow=bool(np.any(mass[1:] == 0)))
 
 

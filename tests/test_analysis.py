@@ -182,6 +182,11 @@ class TestExperimentsSmall:
     def test_health_counters(self):
         rep = an.experiment_convergence(SMALL["convergence"], seed=4)
         assert rep.estimates["pinned_underflows"] == 0
+        assert 0.0 <= rep.estimates["pinned_norm_error"] <= 1e-13
+        rep = an.experiment_singularity(SMALL["singularity"], seed=4)
+        for row in rep.tests["fractional_moments"]:
+            assert isinstance(row["z_nonpositive"], int)
+            assert 0 <= row["z_nonpositive"] <= SMALL["singularity"].replicas
         cfg = SMALL["averaged-abs-continuity"]
         rep = an.experiment_averaged_abs_continuity(cfg, seed=4)
         assert 0 < rep.estimates["max_table_residual"] < 1e-2
@@ -216,6 +221,8 @@ class TestExperimentsSmall:
         assert "pinned_g_ks" in rep.verdicts
         assert 0.0 < rep.estimates["g_mean"] < 1.0
         assert rep.estimates["pinned_underflows"] == 0
+        # every path's last step comes from a full row
+        assert 0.0 < rep.estimates["pinned_norm_error"] <= 1e-13
 
 
 class TestStreamOrder:

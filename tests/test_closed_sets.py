@@ -78,32 +78,6 @@ class TestFmDistance:
         assert dac <= dab + dbc + 1e-12
 
 
-class TestRestrictedFdd:
-    def test_on_event_true(self):
-        C = cs.from_points([0.0, 0.4, 0.9, 1.0])
-        out = cs.restricted_fdd_extract(C, [0.3, 0.7])
-        np.testing.assert_allclose(out.pairs, [[0.0, 0.4], [0.4, 0.9]])
-        assert out.on_event
-
-    def test_on_event_false(self):
-        out = cs.restricted_fdd_extract(cs.from_points([0.0, 1.0]), [0.3, 0.7])
-        assert not out.on_event
-
-    def test_bad_times(self):
-        with pytest.raises(ValueError):
-            cs.restricted_fdd_extract(cs.EMPTY, [0.7, 0.3])
-
-    @given(finite_sets,
-           st.lists(st.floats(-40, 40), min_size=2, max_size=4, unique=True))
-    def test_interleaving_when_on_event(self, C, ts):
-        ts = sorted(ts)
-        out = cs.restricted_fdd_extract(C, ts)
-        if out.on_event:
-            g, d = out.pairs[:, 0], out.pairs[:, 1]
-            # each d_i is realized inside (t_i, t_{i+1}], so d_i <= g_{i+1}
-            assert np.all(d[:-1] <= g[1:])
-
-
 class TestBoxCount:
     def test_endpoints_only(self):
         C = cs.from_points([0.0, 1.0], resolution=2.0 ** -10)

@@ -1,3 +1,4 @@
+import dataclasses
 from bisect import bisect_left
 
 import numpy as np
@@ -400,10 +401,12 @@ class TestSamplerStream:
         assert rng.random() == _advanced(38, sum(steps)).random()
 
     def test_raise_partway_leaves_steps_taken(self):
-        # hand-made masses: 0 -> 1 surely, then the row of 1 is all zero
+        # hand-made masses: 0 -> 1 surely (its row sums to 1/inv[0] = 0.5),
+        # then the row of 1 is all zero
         k = np.array([0.0, 0.5, 0.5, 0.0, 0.0])
         s = dp.PinnedSampler(N=4, k=k, mass=np.array([1.0, 0.0, 0.0, 1.0, 1.0]),
-                             exp2=np.zeros(5, dtype=np.int64), underflow=True)
+                             exp2=np.zeros(5, dtype=np.int64),
+                             inv=np.array([2.0, 1.0, 1.0, 1.0]), underflow=True)
         rng, ref = stream(39), stream(39)
         with pytest.raises(FloatingPointError, match="point 1"):
             s.sample(rng)
@@ -420,13 +423,58 @@ class TestSamplerStream:
         s = dp.build_pinned_sampler(kernel, d, beta, h, N)
         # rows near N take no shift; at h = 50 the rows further back do
         assert s.exp2[1] == 0 and (s.exp2[-1] > 0) == (h > 0)
+        # 1,000 draws over the four cases: the prefix rows normalized by
+        # V(i) draw as the whole rows normalized by their own last entry do
         rng, ref = stream(41), stream(41)
-        for _ in range(8):
+        for _ in range({2048: 300, 4096: 250, 512: 350, 1024: 100}[N]):
             np.testing.assert_array_equal(s.sample(rng).points,
                                           _reference_sample(s, ref))
         assert rng.random() == ref.random()
         assert len(s.rows) > 8
-        for i in s.rows:
+        for i, view in list(s.rows.items()):
             row = s.row(i)
-            assert isinstance(row, np.ndarray)
-            np.testing.assert_array_equal(row, _reference_row(s, i))
+            assert isinstance(row, np.ndarray) and len(row) == N - i
+            np.testing.assert_array_equal(row[:len(view)], view)
+            np.testing.assert_allclose(row, _reference_row(s, i), rtol=1e-13)
+
+    def test_rows_grow_from_short_prefixes(self, kernel):
+        N = 4096
+        d = dp.DisorderField(np.zeros(N - 1), "standard-normal")
+        s = dp.build_pinned_sampler(kernel, d, 0.0, 0.0, N)
+        rng = stream(42)
+        for _ in range(400):
+            s.sample(rng)
+        # a whole row per visited point would hold 67.1 MB here
+        assert sum(v.nbytes for v in s.rows.values()) < 16e6
+        lengths = [len(v) for v in s.rows.values()]
+        assert set(lengths) - {N - i for i in s.rows} <= {
+            dp.ROW_START * dp.ROW_GROWTH ** e for e in range(6)}
+        assert dp.ROW_START in lengths
+
+    def test_past_the_full_row_goes_to_n(self, kernel):
+        # rows normalized 1000 times too small end near 1e-3, so the first
+        # step's uniform lies past every entry of the full row from 0
+        N = 64
+        d = dp.DisorderField(np.zeros(N - 1), "standard-normal")
+        s = dp.build_pinned_sampler(kernel, d, 0.0, 0.0, N)
+        s = dataclasses.replace(s, inv=s.inv * 1e-3)
+        rng = stream(43)
+        np.testing.assert_array_equal(s.sample(rng).points, [0.0, N])
+        assert len(s.rows[0]) == N
+        assert rng.random() == _advanced(43, 1).random()
+
+    @pytest.mark.parametrize("N, beta_hat", [
+        (2048, 0.0), (2048, 0.5), (4096, 0.0), (4096, 0.5), (8192, 0.0),
+        (8192, 0.5)])
+    def test_full_rows_sum_to_one(self, N, beta_hat):
+        # at 8,192 the backward solve is FFT-halved
+        kernel = rn.matched_power_kernel(0.75, N)
+        d = dp.sample_disorder("standard-normal", N - 1, stream(44, N))
+        beta = (dp.scale_couplings(beta_hat, 0.0, N, kernel).beta_N
+                if beta_hat else 0.0)
+        s = dp.build_pinned_sampler(kernel, d, beta, 0.0, N)
+        assert s.norm_error == 0.0
+        for i in range(0, N, 61):
+            s.row(i)
+        err = max(abs(s.rows[i][-1] - 1.0) for i in range(0, N, 61))
+        assert 0.0 < s.norm_error == err <= 1e-13
