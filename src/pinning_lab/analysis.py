@@ -73,11 +73,6 @@ class ExperimentReport:
             d.pop("wall_clock")
         return json.dumps(d, sort_keys=True, indent=2)
 
-    def save(self, path, include_wall_clock: bool = True) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json(include_wall_clock))
-            fh.write("\n")
-
 
 # ---------------------------------------------------------------------------
 # tests
@@ -266,10 +261,8 @@ def _marginal_cdf_tables(alpha: float, T: float, t1: float, grid: int = 512):
     return xe, Fx / Fx[-1], ye, Fy / Fy[-1]
 
 
-def _ks_se(n1: int, n2: int | None = None) -> float:
+def _ks_se(n1: int, n2: int) -> float:
     """Asymptotic scale of two-sample KS statistic fluctuations."""
-    if n2 is None:
-        return 0.5 / np.sqrt(n1)
     return 0.5 * np.sqrt(1.0 / n1 + 1.0 / n2)
 
 
@@ -523,8 +516,13 @@ def experiment_averaged_abs_continuity(config: AveragedConfig | None = None,
     Each disorder replica contributes draws from its quenched sampler with
     weight Z(0, T); the weighted empirical marginals must match the
     disorder-free reference, which is the absolute-continuity statement
-    made quantitative. h_hat != 0 enters through the Girsanov factor. The
-    report carries the largest renewal-identity residual and the largest
+    made quantitative. h_hat != 0 enters through the Girsanov factor.
+    Each weighted_ks_* verdict tests the null that the weighted marginal is
+    the reference one: sqrt(ESS) D must not exceed kolmogi(ks_threshold),
+    the asymptotic one-sample KS critical value. ESS counts replicas, each
+    worth at least one independent point, so the gate is conservative; the
+    bootstrap p, at least 1/(n_boot + 1), is reported but does not gate.
+    The report carries the largest renewal-identity residual and the largest
     clipped mass of any one table (CdpmFddSampler's health counters), and
     the residual's disorder-free floor, |sum of the reference masses - 1|."""
     cfg = config or AveragedConfig()
@@ -544,8 +542,11 @@ def experiment_averaged_abs_continuity(config: AveragedConfig | None = None,
     for name, vals, gx, gF in (("g", xs, xe, Fx), ("d", ys, ye, Fy)):
         stat, p, ess = weighted_ks(vals, w, gx, gF, rng_b,
                                    n_boot=cfg.n_boot)
-        rep.tests[f"weighted_ks_{name}"] = {"stat": stat, "p": p}
-        rep.verdicts[f"weighted_ks_{name}"] = p > cfg.ks_threshold
+        scaled = float(np.sqrt(ess) * stat)
+        rep.tests[f"weighted_ks_{name}"] = {"stat": stat, "p": p,
+                                            "sqrt_ess_stat": scaled}
+        rep.verdicts[f"weighted_ks_{name}"] = scaled <= kolmogi(
+            cfg.ks_threshold)
     rep.estimates["ess"] = ess
     rep.estimates["max_table_residual"] = float(sampler.residual.max())
     rep.estimates["table_residual_floor"] = abs(float(sampler.ref.sum()) - 1.0)

@@ -53,29 +53,19 @@ def sample_brownian(T: float, M: int, rng: np.random.Generator) -> BrownianPath:
 
 @dataclass(frozen=True)
 class ChaosSpec:
-    """Parameters of the continuum partition function.
-
-    variant "conditioned" pins both endpoints, "free" only the left one;
-    "mean-case" is the alpha > 1 regime, where all gap factors collapse to
-    1/mean_tau1.
-    """
+    """Parameters of the continuum partition function Z(s, t), the polynomial
+    chaos pinned at both ends, for alpha in (1/2, 1), where disorder is
+    relevant and the CDPM exists; Z lives on M grid cells of [0, T]."""
 
     alpha: float
     beta_hat: float
     h_hat: float = 0.0
     T: float = 1.0
-    variant: str = "conditioned"
     M: int = 4096
-    mean_tau1: float | None = None
 
     def __post_init__(self):
-        if self.variant not in ("conditioned", "free", "mean-case"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "mean-case":
-            if not self.alpha > 1 or self.mean_tau1 is None:
-                raise ValueError("mean-case needs alpha > 1 and mean_tau1")
-        elif not 0.5 < self.alpha < 1:
-            raise ValueError("conditioned/free variants need alpha in (1/2,1)")
+        if not 0.5 < self.alpha < 1:
+            raise ValueError("need alpha in (1/2, 1)")
         if self.beta_hat < 0 or self.T <= 0 or self.M < 2:
             raise ValueError("need beta_hat >= 0, T > 0, M >= 2")
 
@@ -86,14 +76,11 @@ def chaos_kernel(spec: ChaosSpec, s: float, t: float, times) -> float:
     full = np.concatenate([[s], ts, [t]])
     if np.any(np.diff(full) <= 0):
         raise ValueError("need s < t_1 < ... < t_k < t")
-    if spec.variant == "mean-case":
-        return float(spec.mean_tau1 ** -len(ts))
     a = spec.alpha
     c = stable_constant(a)
     gaps = np.diff(np.concatenate([[s], ts]))
     val = float(np.prod(c * gaps ** (a - 1.0)))
-    if spec.variant == "conditioned":
-        val *= (t - s) ** (1.0 - a) * (t - ts[-1]) ** (a - 1.0)
+    val *= (t - s) ** (1.0 - a) * (t - ts[-1]) ** (a - 1.0)
     return val
 
 
@@ -186,12 +173,8 @@ def _z_spans(spec: ChaosSpec, increments: np.ndarray, s, t,
     lag = np.arange(max(np.max(i1 - i0), 1))[:, None]
     c = np.where(lag < i1 - i0, spec.beta_hat * increments[
         env, np.minimum(i0 + lag, spec.M - 1)] + spec.h_hat * delta, 0.0)
-    if spec.variant == "mean-case":
-        return np.prod(1.0 + c / spec.mean_tau1, axis=0)
     edges = delta * (i0 + np.arange(len(lag) + 1)[:, None])
     A = _forward(spec, delta, c, edges - s)
-    if spec.variant == "free":
-        return 1.0 + A.sum(axis=0)
     tf = _cell_avg(spec.alpha, t - edges, delta)
     return 1.0 + (t - s) ** (1.0 - spec.alpha) * np.einsum("jr,jr->r", tf, A)
 
@@ -208,16 +191,11 @@ def _profile(spec: ChaosSpec, path: BrownianPath, cells: np.ndarray,
     c = (spec.beta_hat * path.increments.reshape(-1, spec.M)[:, cells]
          + spec.h_hat * path.delta).T
     z = np.ones((len(c) + 1, c.shape[1]))
-    if spec.variant == "mean-case":
-        z[1:] = np.cumprod(1.0 + c / spec.mean_tau1, axis=0)
-    elif len(c):
+    if len(c):  # S[m] = sum_{l<=m} A[l] tavg[m-l], dist a multiple of delta
         A = _forward(spec, path.delta, c, dist)
-        if spec.variant == "free":
-            z[1:] += np.cumsum(A, axis=0)
-        else:  # S[m] = sum_{l<=m} A[l] tavg[m-l], dist a multiple of delta
-            tavg = _cell_avg(spec.alpha, dist, path.delta)
-            S = convolve(A, tavg[:, None])[:len(c)]
-            z[1:] += dist[1:, None] ** (1.0 - spec.alpha) * S
+        tavg = _cell_avg(spec.alpha, dist, path.delta)
+        S = convolve(A, tavg[:, None])[:len(c)]
+        z[1:] += dist[1:, None] ** (1.0 - spec.alpha) * S
     return z.T.reshape(*path.w.shape[:-1], -1)
 
 
@@ -234,11 +212,8 @@ def z_profile_from(spec: ChaosSpec, path: BrownianPath,
 def z_profile_to(spec: ChaosSpec, path: BrownianPath,
                  t: float) -> tuple[np.ndarray, np.ndarray]:
     """Z(y, t) for every grid point y <= t, as (grid times, values). The
-    conditioned chaos kernel is symmetric under time reversal, so this is
-    the profile of the cells before t taken in reverse order."""
-    if spec.variant == "free":
-        raise NotImplementedError("left profile implemented for the "
-                                  "conditioned variant")
+    chaos kernel is symmetric under time reversal, so this is the profile
+    of the cells before t taken in reverse order."""
     _check_grid(spec, path)
     delta = path.delta
     _, _, t, i1 = _ends(spec, 0.0, t, delta)
@@ -294,7 +269,7 @@ def _span_products(zeval: ZEvaluator, spans: list) -> np.ndarray:
 
 def z_second_moment_series(alpha: float, beta_hat: float, T,
                            k_max: int = 80):
-    """E[Z(0,T)^2] for the conditioned variant at h_hat = 0.
+    """E[Z(0,T)^2] at h_hat = 0.
 
     Term k: beta_hat^(2k) C_alpha^(2k) T^((2a-1)k)
             Gamma(2a-1)^(k+1) / Gamma((k+1)(2a-1)).
@@ -342,14 +317,12 @@ def girsanov_tilt(path: BrownianPath, beta_hat: float, h_hat: float) -> float:
 # reference finite-dimensional densities
 
 
-def fdd_density_reference(alpha: float, T: float, times, xs, ys,
-                          conditioned: bool = True) -> float:
+def fdd_density_reference(alpha: float, T: float, times, xs, ys) -> float:
     """Joint density of (g_{t_i}, d_{t_i})_i for the alpha-stable
-    regenerative set (conditioned: containing T), on the restricted event.
+    regenerative set conditioned to contain T, on the restricted event.
 
     Density: prod_i C_a (x_i - y_{i-1})^(a-1) (y_i - x_i)^(-1-a), with
-    y_0 := 0, times T^(1-a) (T - y_k)^(a-1) in the conditioned case.
-    Returns 0 off the support.
+    y_0 := 0, times T^(1-a) (T - y_k)^(a-1). Returns 0 off the support.
     """
     ts = np.asarray(times, dtype=float)
     x = np.asarray(xs, dtype=float)
@@ -358,16 +331,14 @@ def fdd_density_reference(alpha: float, T: float, times, xs, ys,
     if not (len(x) == len(y) == k):
         raise ValueError("times, xs, ys must have equal length")
     yprev = np.concatenate([[0.0], y[:-1]])
-    ok = (np.all(yprev <= x) and np.all(x <= ts) and np.all(ts < y))
-    if conditioned:
-        ok = ok and y[-1] <= T
+    ok = (np.all(yprev <= x) and np.all(x <= ts) and np.all(ts < y)
+          and y[-1] <= T)
     if not ok:
         return 0.0
     c = stable_constant(alpha)
     val = float(np.prod(c * (x - yprev) ** (alpha - 1.0)
                         * (y - x) ** (-1.0 - alpha)))
-    if conditioned:
-        val *= T ** (1.0 - alpha) * (T - y[-1]) ** (alpha - 1.0)
+    val *= T ** (1.0 - alpha) * (T - y[-1]) ** (alpha - 1.0)
     return val
 
 
@@ -377,10 +348,10 @@ def fdd_density_reference(alpha: float, T: float, times, xs, ys,
 
 @dataclass(frozen=True)
 class RegenSample:
-    """Dyadic-resolution draw of the conditioned regenerative set."""
+    """Dyadic-resolution draw of the conditioned regenerative set; its
+    set's resolution is the cutoff T 2^-n_max."""
 
     set: ClosedSetR
-    level: int
 
 
 def _sample_gd_unit(alpha: float, n: int, rng: np.random.Generator):
@@ -437,7 +408,7 @@ def sample_regen_conditioned(alpha: float, T: float, n_max: int,
         keep = new_hi - new_lo >= cutoff
         lo, hi = new_lo[keep], new_hi[keep]
     points = np.unique(np.concatenate(pts))
-    return RegenSample(set=ClosedSetR(points, resolution=cutoff), level=n_max)
+    return RegenSample(set=ClosedSetR(points, resolution=cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +423,7 @@ def cdpm_fdd_density(zeval: ZEvaluator, times, xs, ys) -> float:
     z0t = zeval.z0T()
     if np.any(z0t <= 0):
         raise ValueError("Z(0,T) <= 0: discretization failure")
-    ref = fdd_density_reference(spec.alpha, spec.T, times, xs, ys,
-                                conditioned=True)
+    ref = fdd_density_reference(spec.alpha, spec.T, times, xs, ys)
     if ref == 0.0:
         return 0.0
     gaps = np.column_stack([np.concatenate([[0.0], ys]),
@@ -658,8 +628,8 @@ def block_variance_sum(spec: ChaosSpec, regen: RegenSample, n: int) -> float:
     second order E[log Z] = -Var Z / 2, so for levels n_lo < n_hi the mean
     of log(f_hi / f_lo) is predicted as -(sum at n_hi - sum at n_lo) / 2.
     """
-    if spec.variant != "conditioned" or spec.h_hat != 0.0:
-        raise ValueError("series known for the conditioned variant at h_hat = 0")
+    if spec.h_hat != 0.0:
+        raise ValueError("series known at h_hat = 0")
     blocks = dyadic_blocks(regen.set, n, spec.T)
     spans = blocks[:, 1] - blocks[:, 0]
     var = z_second_moment_series(spec.alpha, spec.beta_hat, spans[spans > 0])

@@ -1,5 +1,6 @@
-"""Exact reference for the continuum grid Z(s, t): its chaos expansion summed
-term by term over the subsets of the cells of the span.
+"""Exact reference for the continuum grid Z(s, t), the polynomial chaos pinned
+at both ends for alpha in (1/2, 1): its chaos expansion summed term by term
+over the subsets of the cells of the span.
 
 With cell weights c_j = beta_hat dW_j + h_hat delta, the grid Z is
 
@@ -7,12 +8,11 @@ With cell weights c_j = beta_hat dW_j + h_hat delta, the grid Z is
           E(j_1) G(j_2 - j_1) ... G(j_k - j_{k-1}) F(j_k),
 
 E the cell average of C_a (x - s)^(a-1), G the average of C_a (x - y)^(a-1)
-over two cells d apart, and F the cell average of (t-s)^(1-a) (t - x)^(a-1)
-in the conditioned variant, 1 in the free one. In the mean-case every
-factor is 1/mean_tau1. Cells with c_j = 0 drop out of every term, so the sum
-runs over the subsets of the cells with c_j != 0: all of them on a grid of
-at most 12 cells, or a few chosen ones on a longer span. Every cell average
-is a separate quadrature; no code of the package is used but the spec.
+over two cells d apart, and F the cell average of (t-s)^(1-a) (t - x)^(a-1).
+Cells with c_j = 0 drop out of every term, so the sum runs over the subsets
+of the cells with c_j != 0: all of them on a grid of at most 12 cells, or a
+few chosen ones on a longer span. Every cell average is a separate
+quadrature; no code of the package is used but the spec.
 """
 
 from functools import lru_cache
@@ -65,21 +65,15 @@ def chaos_oracle(spec, increments: np.ndarray, s: float, t: float) -> float:
     c = {j: spec.beta_hat * increments[j] + spec.h_hat * delta for j in cells}
     a = spec.alpha
     ca = a * np.sin(np.pi * a) / np.pi
-    last = dict.fromkeys(cells, 1.0)
-    if spec.variant == "mean-case":
-        first = dict.fromkeys(cells, 1.0 / spec.mean_tau1)
-        gap = lambda d: 1.0 / spec.mean_tau1
-    else:
-        # the parts of the cells [j delta, (j+1) delta] inside [s, t]
-        first = {j: ca * _pow_int(max(j * delta - s, 0.0),
-                                  (j + 1) * delta - s, a - 1.0) / delta
-                 for j in cells}
-        gap = lambda d: ca * _gap(a, delta, d)
-        if spec.variant == "conditioned":
-            last = {j: (t - s) ** (1.0 - a)
-                    * _pow_int(max(t - (j + 1) * delta, 0.0), t - j * delta,
-                               a - 1.0) / delta
-                    for j in cells}
+    # the parts of the cells [j delta, (j+1) delta] inside [s, t]
+    first = {j: ca * _pow_int(max(j * delta - s, 0.0),
+                              (j + 1) * delta - s, a - 1.0) / delta
+             for j in cells}
+    gap = lambda d: ca * _gap(a, delta, d)
+    last = {j: (t - s) ** (1.0 - a)
+            * _pow_int(max(t - (j + 1) * delta, 0.0), t - j * delta,
+                       a - 1.0) / delta
+            for j in cells}
     z = 1.0
     for k in range(1, len(cells) + 1):
         for sub in combinations(cells, k):

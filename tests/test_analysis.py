@@ -139,13 +139,6 @@ class TestExperimentReport:
         d = json.loads(rep.to_json(include_wall_clock=False))
         assert "wall_clock" not in d
 
-    def test_save_round_trip(self, tmp_path):
-        rep = an.ExperimentReport("demo", {"b": 2.5}, 9)
-        f = tmp_path / "r.json"
-        rep.save(f)
-        d = json.loads(f.read_text())
-        assert d["config"] == {"b": 2.5} and d["seed"] == 9
-
 
 SMALL = {
     "z-properties": an.ZPropertiesConfig(
@@ -223,6 +216,27 @@ class TestExperimentsSmall:
         assert rep.estimates["pinned_underflows"] == 0
         # every path's last step comes from a full row
         assert 0.0 < rep.estimates["pinned_norm_error"] <= 1e-13
+
+
+class TestPlantedDefects:
+    """A verdict that no defect can flip shows nothing: each test plants a
+    defect and asserts that the verdicts it breaks fail."""
+
+    def test_weighted_ks_flags_wrong_draws(self, monkeypatch):
+        cfg = SMALL["averaged-abs-continuity"]
+        rep = an.experiment_averaged_abs_continuity(cfg, seed=4)
+        assert rep.verdicts["weighted_ks_g"] and rep.verdicts["weighted_ks_d"]
+        # g and d uniform on (0, t1), where the reference d has no mass
+        monkeypatch.setattr(ct.CdpmFddSampler, "draw", lambda self, u: (
+            np.moveaxis(u[..., :2, :], -2, -1) * self.t1))
+        rep = an.experiment_averaged_abs_continuity(cfg, seed=4)
+        for name in ("weighted_ks_g", "weighted_ks_d"):
+            t = rep.tests[name]
+            assert t["sqrt_ess_stat"] == pytest.approx(
+                np.sqrt(rep.estimates["ess"]) * t["stat"], rel=1e-15)
+            assert not rep.verdicts[name]
+            # the bootstrap p cannot fall below 1/(n_boot + 1)
+            assert t["p"] > cfg.ks_threshold
 
 
 class TestStreamOrder:

@@ -51,12 +51,7 @@ class TestSpec:
         with pytest.raises(ValueError):
             ct.ChaosSpec(alpha=0.3, beta_hat=1.0)
         with pytest.raises(ValueError):
-            ct.ChaosSpec(alpha=1.5, beta_hat=1.0)  # needs mean-case
-
-    def test_mean_case_needs_mean(self):
-        with pytest.raises(ValueError):
-            ct.ChaosSpec(alpha=1.5, beta_hat=1.0, variant="mean-case")
-        ct.ChaosSpec(alpha=1.5, beta_hat=1.0, variant="mean-case", mean_tau1=2.0)
+            ct.ChaosSpec(alpha=1.5, beta_hat=1.0)
 
 
 class TestKernel:
@@ -65,21 +60,9 @@ class TestKernel:
         assert v == pytest.approx(C_A * 2.0 ** 0.5, rel=1e-12)
         assert v == pytest.approx(0.238732, abs=1e-6)
 
-    def test_mean_case(self):
-        sp = ct.ChaosSpec(alpha=1.5, beta_hat=1.0, variant="mean-case",
-                          mean_tau1=2.0)
-        assert ct.chaos_kernel(sp, 0.0, 1.0, [0.2, 0.5, 0.7]) == 0.125
-
     def test_boundary_guarded(self, spec):
         with pytest.raises(ValueError):
             ct.chaos_kernel(spec, 0.0, 1.0, [0.5, 1.0])
-
-    def test_free_drops_boundary_factor(self):
-        free = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, variant="free")
-        cond = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, variant="conditioned")
-        vf = ct.chaos_kernel(free, 0.0, 1.0, [0.3])
-        vc = ct.chaos_kernel(cond, 0.0, 1.0, [0.3])
-        assert vc / vf == pytest.approx(0.7 ** (ALPHA - 1.0), rel=1e-12)
 
 
 class TestZPoint:
@@ -110,14 +93,11 @@ class TestZPoint:
         assert zb[1] == pytest.approx(ct.ZEvaluator(spec, other).z(0.0, 1.0),
                                       rel=1e-14)
 
-    @pytest.mark.parametrize("variant", ["conditioned", "free", "mean-case"])
     @pytest.mark.parametrize("M", [2, 7, 12])
-    def test_matches_chaos_oracle(self, variant, M):
+    def test_matches_chaos_oracle(self, M):
         # Z at a point, in a batch and along both profiles against the
         # subset sum of the grid chaos expansion
-        alpha, mean = (1.5, 2.0) if variant == "mean-case" else (ALPHA, None)
-        sp = ct.ChaosSpec(alpha=alpha, beta_hat=1.0, h_hat=0.3, M=M,
-                          variant=variant, mean_tau1=mean)
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=0.3, M=M)
         paths = [ct.sample_brownian(1.0, M, stream(57, 10 * M + i))
                  for i in range(2)]
         incs = np.vstack([p.increments for p in paths])
@@ -136,11 +116,10 @@ class TestZPoint:
         np.testing.assert_allclose(
             zf, [oracle(sp, paths[0].increments, 0.0, q) for q in ts],
             rtol=1e-13)
-        if variant != "free":
-            ys, zt = ze.to_T
-            np.testing.assert_allclose(
-                zt, [oracle(sp, paths[0].increments, y, 1.0) for y in ys],
-                rtol=1e-13)
+        ys, zt = ze.to_T
+        np.testing.assert_allclose(
+            zt, [oracle(sp, paths[0].increments, y, 1.0) for y in ys],
+            rtol=1e-13)
 
     @pytest.mark.parametrize("cells", [2.5, 3.4, 5.7, 7.5])
     def test_off_grid_ends_keep_variance(self, cells):
@@ -192,17 +171,13 @@ class TestZPoint:
             with pytest.raises(ValueError, match="disagree on the grid"):
                 call()
 
-    @pytest.mark.parametrize("variant", ["conditioned", "free", "mean-case"])
-    def test_profiles_over_empty_span(self, variant):
-        alpha, mean = (1.5, 2.0) if variant == "mean-case" else (ALPHA, None)
-        sp = ct.ChaosSpec(alpha=alpha, beta_hat=1.0, h_hat=0.3, M=64,
-                          variant=variant, mean_tau1=mean)
+    def test_profiles_over_empty_span(self):
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=0.3, M=64)
         p = ct.sample_brownian(1.0, 64, stream(62))
         ts, z = ct.z_profile_from(sp, p, 1.0)
         assert ts.tolist() == [1.0] and z.tolist() == [1.0]
-        if variant != "free":
-            ys, z = ct.z_profile_to(sp, p, 0.0)
-            assert ys.tolist() == [0.0] and z.tolist() == [1.0]
+        ys, z = ct.z_profile_to(sp, p, 0.0)
+        assert ys.tolist() == [0.0] and z.tolist() == [1.0]
 
     @pytest.mark.parametrize("M", [12, 16, 512])
     def test_time_reversal(self, M):
@@ -233,14 +208,6 @@ class TestZPoint:
             assert zb == pytest.approx(want, rel=1e-13)
         # both ends rounding to one grid point leave no cells
         assert ze.z(0.30001, 0.30002) == 1.0
-
-    def test_mean_case_product_form(self):
-        sp = ct.ChaosSpec(alpha=1.5, beta_hat=0.4, variant="mean-case",
-                          mean_tau1=2.0, M=64)
-        p = ct.sample_brownian(1.0, 64, stream(4))
-        z = ct.ZEvaluator(sp, p).z(0.0, 1.0)
-        expect = np.prod(1.0 + 0.4 * p.increments / 2.0)
-        assert z == pytest.approx(expect, rel=1e-12)
 
     def test_moment_mc(self, spec):
         rng = stream(10)
@@ -322,12 +289,9 @@ class TestEnvironments:
             np.testing.assert_allclose(ct.martingale_fn(ze, regens, n), want,
                                        rtol=1e-13)
 
-    @pytest.mark.parametrize("variant", ["conditioned", "free", "mean-case"])
-    def test_spans_across_paths_match_oracle(self, variant):
+    def test_spans_across_paths_match_oracle(self):
         # spans of mixed lengths, each on its own path, in one call
-        alpha, mean = (1.5, 2.0) if variant == "mean-case" else (ALPHA, None)
-        sp = ct.ChaosSpec(alpha=alpha, beta_hat=1.0, h_hat=0.3, M=12,
-                          variant=variant, mean_tau1=mean)
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=0.3, M=12)
         incs = stream(68).standard_normal((3, 12)) / np.sqrt(12)
         rng = stream(69)
         ends = np.sort(rng.uniform(0.0, 1.0, (24, 2)), axis=1)
@@ -621,8 +585,7 @@ class TestMartingale:
         for n in range(9):
             assert ct.martingale_fn(ze, regen, n) == 1.0
 
-    @pytest.mark.parametrize("variant", ["conditioned", "free"])
-    def test_matches_per_block_scalar(self, variant):
+    def test_matches_per_block_scalar(self):
         # the one batched solve against the chaos oracle per block, at every
         # level: on a 12-cell grid, and on 256 cells of which 12 carry noise
         # (with h_hat = 0 the others have zero weight)
@@ -632,8 +595,7 @@ class TestMartingale:
         for M, h_hat, incs in ((12, 0.2, stream(16).standard_normal(12) / 4),
                                (256, 0.0, sparse)):
             delta = 1.0 / M
-            sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=h_hat, M=M,
-                              variant=variant)
+            sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=h_hat, M=M)
             p = ct.BrownianPath(1.0, M,
                                 np.concatenate([[0.0], np.cumsum(incs)]))
             ze = ct.ZEvaluator(sp, p)
@@ -644,8 +606,7 @@ class TestMartingale:
                 delta * (rng.integers(1, M, 4) + 1e-10),    # within 1e-9 cells
                 delta * (M // 3 + np.array([0.1, 0.3])),    # snap to one point
                 [0.5 + 0.3 * delta, 0.5 + 0.9 * delta]])    # across a boundary
-            regen = ct.RegenSample(cs.from_points(pts, resolution=2.0 ** -10),
-                                   10)
+            regen = ct.RegenSample(cs.from_points(pts, resolution=2.0 ** -10))
             z0t = oracle(sp, p.increments, 0.0, 1.0)
             for n in range(9):
                 blocks = cs.dyadic_blocks(regen.set, n, 1.0)
@@ -655,17 +616,6 @@ class TestMartingale:
                                 for a, b in blocks])
                 assert ct.martingale_fn(ze, regen, n) == pytest.approx(
                     want / z0t, rel=1e-13)
-
-    def test_mean_case_spans(self):
-        sp = ct.ChaosSpec(alpha=1.5, beta_hat=0.4, variant="mean-case",
-                          mean_tau1=2.0, M=12)
-        p = ct.sample_brownian(1.0, 12, stream(18))
-        s = np.array([0.0, 0.1, 0.5, 0.52])
-        t = np.array([0.3, 0.1, 0.9, 0.53])
-        want = [oracle(sp, p.increments, a, b) for a, b in zip(s, t)]
-        np.testing.assert_allclose(
-            ct._z_spans(sp, p.increments[None], s, t, np.zeros(4, int)),
-            want, rtol=1e-14)
 
     def test_block_variance_sum(self):
         sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, M=1024)
@@ -678,6 +628,13 @@ class TestMartingale:
         # level 0 is the single block (0, T)
         assert ct.block_variance_sum(sp, regen, 0) == pytest.approx(
             ct.z_second_moment_series(ALPHA, 1.0, 1.0) - 1.0, rel=1e-12)
+
+    def test_block_variance_sum_needs_no_drift(self):
+        # the series is the variance of Z at h_hat = 0 only
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=0.3, M=1024)
+        regen = ct.sample_regen_conditioned(ALPHA, 1.0, 12, stream(15))
+        with pytest.raises(ValueError, match="h_hat = 0"):
+            ct.block_variance_sum(sp, regen, 6)
 
     def test_mean_one_weighted(self):
         # E_W[f_n * Z(0,T)] = 1: independent blocks each of mean one

@@ -134,14 +134,13 @@ def test_discrete_batch_matches_chaos_expansion(kernel, rf):
             dp.chaos_expansion_exact(kernel, rf, d, 0.8, 0.1, N), rel=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["conditioned", "free"])
 @pytest.mark.parametrize("cells", [63, 64, 65, 130])
-def test_continuum_batch_matches_scalar_off_grid(variant, cells):
+def test_continuum_batch_matches_scalar_off_grid(cells):
     # spans across one and two block boundaries, batched on both sides of
     # the triangular rule, against the chaos oracle; with h_hat = 0 only the
     # cells given noise enter the oracle's subset sum
     M = 512
-    sp = ct.ChaosSpec(alpha=0.75, beta_hat=1.0, M=M, variant=variant)
+    sp = ct.ChaosSpec(alpha=0.75, beta_hat=1.0, M=M)
     s = 0.1234567
     t = s + (cells + 0.3) / M
     i0 = round(s * M)
