@@ -99,13 +99,14 @@ def ks_two_sample(a, b) -> tuple[float, float]:
 def _weighted_ecdf_on_grid(values: np.ndarray, weights: np.ndarray,
                            grid_x: np.ndarray) -> np.ndarray:
     """Weighted ECDF of (R, m) values evaluated at grid_x; weights (R,)
-    apply per outer replica."""
-    R, m = values.shape
-    w = np.repeat(weights / (weights.sum() * m), m)
-    idx = np.searchsorted(np.sort(values.ravel()), grid_x, side="right")
-    order = np.argsort(values.ravel())
-    cum = np.concatenate([[0.0], np.cumsum(w[order])])
-    return cum[idx]
+    apply per outer replica. Dividing the cumulated weights by their own
+    total makes the ECDF end at exactly 1."""
+    flat = values.ravel()
+    order = np.argsort(flat)
+    idx = np.searchsorted(flat[order], grid_x, side="right")
+    w = np.repeat(weights, values.shape[1])[order]
+    cum = np.concatenate([[0.0], np.cumsum(w)])
+    return cum[idx] / cum[-1]
 
 
 def weighted_ks(values, weights, grid_x, grid_F,

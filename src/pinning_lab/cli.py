@@ -46,10 +46,17 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve_threads(arg: int | None) -> int:
-    if arg is not None:
-        return arg
-    env = os.environ.get("PINNING_LAB_THREADS")
-    return int(env) if env else 1
+    """--threads, else PINNING_LAB_THREADS (unset or empty: 1); ConfigError
+    unless the setting is a positive integer."""
+    env = os.environ.get("PINNING_LAB_THREADS") or "1"
+    raw = env if arg is None else arg
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"threads must be a positive integer, not {raw!r}")
+    return threads
 
 
 def _write_report(out_dir: str, name: str, payload: dict) -> Path:
@@ -302,9 +309,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
-    threads = _resolve_threads(args.threads)
     t0 = time.perf_counter()
     try:
+        threads = _resolve_threads(args.threads)
         try:
             from threadpoolctl import threadpool_limits
         except ImportError:

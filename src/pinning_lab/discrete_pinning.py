@@ -68,13 +68,12 @@ class CouplingScale:
 
     alpha in (1/2, 1): beta_N = beta_hat L(N) / N^(alpha - 1/2),
                        h_N = h_hat L(N) / N^alpha, where L(N) is the
-                       effective slowly varying value N^(1+alpha) K(N).
+                       effective slowly varying value N^(1+alpha) K(N),
+                       read inside the kernel's table (KernelError past it
+                       when the law has mass there).
     alpha > 1:         beta_N = beta_hat / sqrt(N), h_N = h_hat / N.
     """
 
-    beta_hat: float
-    h_hat: float
-    N: int
     beta_N: float
     h_N: float
 
@@ -93,14 +92,10 @@ def scale_couplings(beta_hat: float, h_hat: float, N: int,
         # effective slowly varying value: N^(1+alpha) K(N) absorbs the
         # kernel's normalizing constant, which the asymptotics of the
         # renewal mass function carry as well
-        if N <= kernel.n_max:
-            ln = float(N ** (1.0 + alpha) * kernel.k[N])
-        else:
-            ln = float(kernel.L(N))
+        ln = float(N ** (1.0 + alpha) * kernel.head(N)[N])
         beta_n = beta_hat * ln / N ** (alpha - 0.5)
         h_n = h_hat * ln / N ** alpha
-    return CouplingScale(beta_hat=beta_hat, h_hat=h_hat, N=N,
-                         beta_N=beta_n, h_N=h_n)
+    return CouplingScale(beta_N=beta_n, h_N=h_n)
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +112,12 @@ def _transfer(kernel: RenewalKernel, arg: np.ndarray, beta: float,
     sum_{i<j} W(i) w_i K(j-i) and the last site carries w = 1.
     """
     N = arg.shape[0] + 1
+    k = kernel.head(N)
     with np.errstate(over="ignore"):
         w = np.exp(arg)
     if np.isinf(w).any():
         raise OverflowError(
             f"site weight not finite at N={N}, beta={beta}, h={h}")
-    k = np.pad(kernel.k[:N + 1], (0, max(0, N - kernel.n_max)))
     x, e = renewal_solve_batch(k, k[1:], np.vstack([w, np.ones(w.shape[1])]))
     return k, x, e
 
@@ -349,7 +344,6 @@ def build_pinned_sampler(kernel: RenewalKernel, disorder: DisorderField,
     in reverse order, N-1 down to 1, with a last weight 1 for site 0."""
     if N - 1 > disorder.n_sites:
         raise ValueError("disorder field too short for horizon N")
-    kernel.check_horizon(N)
     arg = beta * disorder.omega[:N - 1] - disorder.lam(beta) + h
     k, x, e = _transfer(kernel, arg[::-1, None], beta, h)
     mass = np.concatenate([[1.0], x[:, 0]])
@@ -371,8 +365,7 @@ def enumerate_pinned_exact(kernel: RenewalKernel, disorder: DisorderField,
     """
     if N > 16:
         raise ValueError("exhaustive enumeration capped at N <= 16")
-    kernel.check_horizon(N)
-    k = np.pad(kernel.k[:N + 1], (0, max(0, N - kernel.n_max)))
+    k = kernel.head(N)
     w = np.exp(beta * disorder.omega[:N - 1] - disorder.lam(beta) + h)
     out = {}
     total = 0.0

@@ -12,13 +12,11 @@ t conditioned on N in tau, and samples renewal point sets.
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import zeta
 
 from pinning_lab.volterra import convolve, renewal_solve_batch
@@ -26,33 +24,6 @@ from pinning_lab.volterra import convolve, renewal_solve_batch
 
 class KernelError(ValueError):
     """Raised for kernel specs that cannot yield a valid renewal law."""
-
-
-# ---------------------------------------------------------------------------
-# slowly varying part
-
-
-@dataclass(frozen=True)
-class SlowlyVarying:
-    """Pointwise evaluator for the slowly varying factor L(n).
-
-    kind is "constant" or "log-power" (L(n) = value log(e + n)^power).
-    """
-
-    kind: str = "constant"
-    value: float = 1.0
-    power: float = 0.0
-
-    def __call__(self, n):
-        n = np.asarray(n, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(n, self.value)
-        if self.kind == "log-power":
-            return self.value * np.log(np.e + n) ** self.power
-        raise KernelError(f"unknown slowly-varying kind {self.kind!r}")
-
-
-CONSTANT_L = SlowlyVarying()
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +41,7 @@ class RenewalKernel:
     alpha: float
     k: np.ndarray
     survival: np.ndarray
-    slowly_varying: SlowlyVarying = CONSTANT_L
     mean: float = np.inf
-    tail_fit: dict | None = None
 
     @property
     def n_max(self) -> int:
@@ -82,49 +51,34 @@ class RenewalKernel:
         """P(tau_1 > n) for 0 <= n <= n_max."""
         return self.survival[np.asarray(n)]
 
-    def L(self, n):
-        return self.slowly_varying(n)
-
-    def check_horizon(self, n: int) -> None:
-        """KernelError if a gap up to n can leave the table: n > n_max while
-        the law has mass beyond n_max."""
-        if n > self.n_max and self.survival[self.n_max] > 1e-15:
+    def head(self, n: int) -> np.ndarray:
+        """K(0..n), zero past the table: the one horizon rule. KernelError if
+        a gap up to n can leave the table, n > n_max while the law has mass
+        beyond n_max. Within the table it is a view of k."""
+        if n <= self.n_max:
+            return self.k[:n + 1]
+        if self.survival[self.n_max] > 1e-15:
             raise KernelError(f"horizon {n} exceeds the tabulated kernel "
                               f"range {self.n_max}")
+        return np.pad(self.k, (0, n - self.n_max))
 
 
 def _kernel(alpha: float, k: np.ndarray, tail: float,
-            **fields) -> RenewalKernel:
+            mean: float = np.inf) -> RenewalKernel:
     """The one table constructor: survival[n] = tail + sum_{m > n} K(m),
     cumulated backward from the mass beyond n_max, which keeps sf accurate
     deep in the tail."""
     survival = np.empty(len(k))
     survival[-1] = tail
     survival[:-1] = tail + np.cumsum(k[:0:-1])[::-1]
-    return RenewalKernel(alpha=alpha, k=k, survival=survival, **fields)
+    return RenewalKernel(alpha=alpha, k=k, survival=survival, mean=mean)
 
 
-def _power_tail_sum(alpha: float, sv: SlowlyVarying, start: int) -> float:
-    """Sum of L(n)/n^(1+alpha) over n >= start, to ~1e-13 relative."""
-    if sv.kind == "constant":
-        return sv.value * float(zeta(1.0 + alpha, start))
-    n_cut = max(4 * start, 2_000_000)
-    ns = np.arange(start, n_cut, dtype=float)
-    head = float(np.sum(sv(ns) / ns ** (1.0 + alpha)))
-    with warnings.catch_warnings():
-        # the remainder is ~1e-5 of the head; quad roundoff there is harmless
-        warnings.simplefilter("ignore")
-        rest, _ = quad(lambda x: float(sv(x)) / x ** (1.0 + alpha),
-                       n_cut - 0.5, np.inf)
-    return head + rest
-
-
-def power_law_kernel(alpha: float, n_max: int,
-                     sv: SlowlyVarying = CONSTANT_L) -> RenewalKernel:
-    """K(n) proportional to L(n) / n^(1+alpha), normalized including the
-    analytic tail beyond n_max. Rejects alpha <= 0 and alpha == 1 (the
-    theory is developed for alpha in (0,1) and alpha > 1 only) and an L
-    that does not normalize."""
+def power_law_kernel(alpha: float, n_max: int) -> RenewalKernel:
+    """K(n) proportional to n^-(1+alpha), normalized including the exact
+    tail zeta(1+alpha, n_max+1) beyond n_max. Rejects alpha <= 0 and
+    alpha == 1 (the theory is developed for alpha in (0,1) and alpha > 1
+    only)."""
     if not alpha > 0:
         raise KernelError("tail exponent alpha must be positive")
     if alpha == 1.0:
@@ -132,17 +86,15 @@ def power_law_kernel(alpha: float, n_max: int,
     if n_max < 2:
         raise KernelError("n_max must be at least 2")
     ns = np.arange(1, n_max + 1, dtype=float)
-    raw = sv(ns) / ns ** (1.0 + alpha)
-    tail_raw = _power_tail_sum(alpha, sv, n_max + 1)
+    raw = 1.0 / ns ** (1.0 + alpha)
+    tail_raw = float(zeta(1.0 + alpha, n_max + 1))
     total = raw.sum() + tail_raw
-    if not np.isfinite(total) or total <= 0:
-        raise KernelError("kernel is not normalizable")
     k = np.r_[0.0, raw / total]
     mean = np.inf
     if alpha > 1:
         mean = (float(np.sum(ns * k[1:]))
-                + _power_tail_sum(alpha - 1.0, sv, n_max + 1) / total)
-    return _kernel(alpha, k, tail_raw / total, slowly_varying=sv, mean=mean)
+                + float(zeta(alpha, n_max + 1)) / total)
+    return _kernel(alpha, k, tail_raw / total, mean=mean)
 
 
 def matched_power_kernel(alpha: float, n_max: int,
@@ -176,8 +128,7 @@ def matched_power_kernel(alpha: float, n_max: int,
     if np.any(k < 0):
         raise KernelError("deconvolved kernel negative at "
                           f"n = {np.argmax(k < 0)}")
-    sv = SlowlyVarying("constant", value=stable_constant(alpha) / c)
-    return _kernel(alpha, k, max(1.0 - k.sum(), 0.0), slowly_varying=sv)
+    return _kernel(alpha, k, max(1.0 - k.sum(), 0.0))
 
 
 def two_point_kernel(p1: float = 0.5) -> RenewalKernel:
@@ -211,9 +162,7 @@ def renewal_function(kernel: RenewalKernel, n_max: int) -> RenewalFunction:
     forcing K and unit weights, that never rescales as sum K <= 1. Up to
     4096 u is within a few 1e-15 of the term-by-term sums; above that the
     solver's FFT halving adds round-off of order 1e-13 relative at 20000."""
-    kernel.check_horizon(n_max)
-    k = np.zeros(n_max + 1)
-    k[1:len(kernel.k)] = kernel.k[1:n_max + 1]
+    k = kernel.head(n_max)
     u = np.ldexp(*renewal_solve_batch(k, k[1:], np.ones((n_max, 1))))
     return RenewalFunction(u=np.r_[1.0, u[:, 0]], kernel=kernel)
 
@@ -231,8 +180,8 @@ class RatioTrace:
     mode: str  # "infinite-mean" or "finite-mean"
 
 
-def check_asymptotics(rf: RenewalFunction, n_points: int = 12) -> RatioTrace:
-    """Trace of the renewal-theorem ratio at log-spaced indices.
+def check_asymptotics(rf: RenewalFunction) -> RatioTrace:
+    """Trace of the renewal-theorem ratio at 12 log-spaced indices.
 
     For alpha in (0,1): r(n) = u(n) L(n) n^(1-alpha) / C_alpha, where the
     effective slowly varying factor L(n) = n^(1+alpha) K(n) is read off the
@@ -242,7 +191,7 @@ def check_asymptotics(rf: RenewalFunction, n_points: int = 12) -> RatioTrace:
     """
     alpha = rf.kernel.alpha
     n_max = rf.n_max
-    ns = np.unique(np.geomspace(16, n_max, n_points).astype(int))
+    ns = np.unique(np.geomspace(16, n_max, 12).astype(int))
     if 0 < alpha < 1:
         ns = ns[ns <= rf.kernel.n_max]
         l_eff = ns ** (1.0 + alpha) * rf.kernel.k[ns]
@@ -261,24 +210,22 @@ class SmoothnessFit:
     C: float
     delta: float
     passed: bool
-    n0: int
     points: int
 
 
-def check_smoothness(rf: RenewalFunction, n0: int = 64,
-                     min_delta: float = 0.05) -> SmoothnessFit:
-    """Fit |u(n+l)/u(n) - 1| <= C (l/n)^delta over n >= n0, 0 <= l <= n/4.
+def check_smoothness(rf: RenewalFunction) -> SmoothnessFit:
+    """Fit |u(n+l)/u(n) - 1| <= C (l/n)^delta over n >= 64, 0 <= l <= n/4.
 
     delta is the log-log regression slope of the ratio deviation against l/n
     (capped at 1), and C is then the smallest constant making the bound hold
     on the evaluation grid. l = 0 is trivially satisfied and excluded from
-    the fit.
+    the fit. The fit passes when delta >= 0.05; otherwise C is inf.
     """
     n_max = rf.n_max
-    if n_max < max(4 * n0, 1000):
-        raise KernelError("u must be tabulated to n_max >= 1000 with n0 <= n_max/4")
+    if n_max < 1000:
+        raise KernelError("u must be tabulated to n_max >= 1000")
     n_hi = (4 * n_max) // 5
-    ns = np.unique(np.geomspace(n0, n_hi, 24).astype(int))
+    ns = np.unique(np.geomspace(64, n_hi, 24).astype(int))
     xs, ys = [], []
     for n in ns:
         lmax = n // 4
@@ -293,12 +240,9 @@ def check_smoothness(rf: RenewalFunction, n0: int = 64,
     y = np.log(np.concatenate(ys))
     slope, _ = np.polyfit(x, y, 1)
     delta = float(min(max(slope, 0.0), 1.0))
-    if delta < min_delta:
-        return SmoothnessFit(C=np.inf, delta=delta, passed=False, n0=n0,
-                             points=len(x))
-    c = float(np.max(np.exp(y - delta * x)))
-    return SmoothnessFit(C=c, delta=delta, passed=delta >= min_delta, n0=n0,
-                         points=len(x))
+    passed = delta >= 0.05
+    c = float(np.max(np.exp(y - delta * x))) if passed else np.inf
+    return SmoothnessFit(C=c, delta=delta, passed=passed, points=len(x))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +269,7 @@ def _escape_probability(p_up: Callable, cutoff: int = 2_000_000) -> float:
     return 0.0 if total[-1] > 1e9 else float(1.0 / total[-1])
 
 
-def bessel_like_return_law(p_up: Callable, n_max: int,
-                           escape_tol: float = 1e-6) -> RenewalKernel:
+def bessel_like_return_law(p_up: Callable, n_max: int) -> RenewalKernel:
     """Exact law of half the first return time to 0 of a nearest-neighbor
     birth-death chain on the non-negative integers.
 
@@ -334,16 +277,17 @@ def bessel_like_return_law(p_up: Callable, n_max: int,
     (time, position) triangle, cut above the last position whose mass has
     not underflowed to exactly 0 (about 38 sqrt(t) at time t; those zeros
     stay 0, so the cut changes no bit); the mass not yet returned by time
-    2 n_max is kept as the exact survival tail. A transient chain (escape
-    probability above escape_tol) is rejected, since the associated renewal
-    process would terminate.
+    2 n_max is kept as the exact survival tail. alpha is the log-log slope
+    of K fitted over max(n_max/20, 8) <= n <= n_max. A transient chain
+    (escape probability 1e-6 or more) is rejected, since the associated
+    renewal process would terminate.
     """
     t_steps = 2 * n_max
     pu = p_up(np.arange(t_steps + 2))
     if pu[0] != 1.0:
         raise KernelError("p_up(0) must be 1 (reflection at the origin)")
     esc = _escape_probability(p_up)
-    if esc >= escape_tol:
+    if esc >= 1e-6:
         raise KernelError(f"chain is transient (escape probability {esc:.2e})")
     if np.any((pu[1:] <= 0) | (pu[1:] >= 1)):
         raise KernelError("p_up(x) must lie strictly in (0,1) for x >= 1")
@@ -370,10 +314,8 @@ def bessel_like_return_law(p_up: Callable, n_max: int,
     mask = k[ns] > 0
     slope, _ = np.polyfit(np.log(ns[mask]), np.log(k[ns][mask]), 1)
     fitted_alpha = float(-slope - 1.0)
-    fit = {"fitted_alpha": fitted_alpha, "fit_range": (lo, hi),
-           "escape_probability": esc}
     return _kernel(fitted_alpha, k, float(f.sum()),
-                   mean=np.inf if fitted_alpha < 1 else np.nan, tail_fit=fit)
+                   mean=np.inf if fitted_alpha < 1 else np.nan)
 
 
 @dataclass(frozen=True)
@@ -420,9 +362,7 @@ def conditioned_g_law(rf: RenewalFunction, N: int, t: int) -> np.ndarray:
     """
     if not 0 <= t < N <= rf.n_max:
         raise ValueError("need 0 <= t < N <= rf.n_max")
-    k = np.zeros(N + 1)
-    m = min(N, rf.kernel.n_max)
-    k[1:m + 1] = rf.kernel.k[1:m + 1]
+    k = rf.kernel.head(N)
     u = rf.u
     # s[j] = sum_{y > t} K(y - (t - j)) u(N - y), for j = t - x = 0..t
     s = convolve(k[1:], u[:N - t])[N - t - 1:N]
@@ -438,8 +378,7 @@ def sample_renewal(kernel: RenewalKernel, N: int,
     """Renewal point set in {0..N}, as a sorted integer array containing 0:
     i.i.d. gaps until the horizon is passed. (Conditioned on N in tau, it
     is the pinned sampler of discrete_pinning with zero coupling.)"""
-    kernel.check_horizon(N)
-    cdf = memoryview(np.cumsum(kernel.k[1:N + 1]))
+    cdf = memoryview(np.cumsum(kernel.head(N)[1:]))
     last = cdf[-1] if len(cdf) else 0.0
     pts = [0]
     pos = 0

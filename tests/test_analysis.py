@@ -232,6 +232,7 @@ class TestPlantedDefects:
         rep = an.experiment_averaged_abs_continuity(cfg, seed=4)
         for name in ("weighted_ks_g", "weighted_ks_d"):
             t = rep.tests[name]
+            assert t["stat"] <= 1.0
             assert t["sqrt_ess_stat"] == pytest.approx(
                 np.sqrt(rep.estimates["ess"]) * t["stat"], rel=1e-15)
             assert not rep.verdicts[name]

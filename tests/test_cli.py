@@ -48,12 +48,20 @@ class TestPlumbing:
         assert code == 1
         capsys.readouterr()
 
-    def test_threads_env_fallback(self, monkeypatch):
+    def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PINNING_LAB_THREADS", "3")
         assert cli._resolve_threads(None) == 3
         assert cli._resolve_threads(2) == 2
         monkeypatch.delenv("PINNING_LAB_THREADS")
         assert cli._resolve_threads(None) == 1
+        # anything but a positive integer is a config error: exit 1, one
+        # line on stderr, no report
+        for env, argv in (("abc", []), ("0", []), ("2", ["--threads", "0"])):
+            monkeypatch.setenv("PINNING_LAB_THREADS", env)
+            assert _run(tmp_path, *argv, "partition", "--N", "2") == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: threads") and err.count("\n") == 1
+        assert not (tmp_path / "partition.json").exists()
 
     def test_threads_not_applied_without_threadpoolctl(self, tmp_path,
                                                       capsys, monkeypatch):

@@ -219,10 +219,10 @@ class TestChaos:
         with pytest.raises(ValueError):
             dp.chaos_expansion_exact(kernel, rf, disorder, 0.1, 0.0, 30)
 
-    def test_zeta_scale(self, kernel):
+    def test_zeta_scale(self):
         # sd(xi)/beta_N -> 1 and mean(xi) ~ h_N at weak coupling
         N = 10_000
-        sc = dp.scale_couplings(1.0, 0.5, N, kernel)
+        sc = dp.scale_couplings(1.0, 0.5, N, rn.power_law_kernel(0.75, N))
         d = dp.sample_disorder("standard-normal", N, stream(3))
         xi = dp.xi_vars(d, sc.beta_N, sc.h_N)
         se = sc.beta_N / np.sqrt(N)

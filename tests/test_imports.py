@@ -1,5 +1,6 @@
-"""Guards over the package sources, by the ast module: no unused import,
-and no module-level private function or class that no module references."""
+"""Guards over the sources, by the ast module: no unused import in the
+package or its tests, and no module-level private function or class of the
+package that no module of it references."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import pinning_lab
 
 MODULES = sorted(Path(pinning_lab.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -55,7 +57,9 @@ def unreferenced_private(sources: dict[str, str]) -> list[str]:
     return sorted(k for k, name in defined.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS,
+    ids=lambda p: p.name if p in MODULES else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

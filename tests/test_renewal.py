@@ -31,9 +31,9 @@ class TestBuildKernel:
         assert np.all(kernel_075.k[1:] > 0)
 
     def test_tail_regularity(self, kernel_075):
-        # n^(1+alpha) K(n) / L(n) is flat between n_max/2 and n_max
+        # n^(1+alpha) K(n) is flat between n_max/2 and n_max
         k = kernel_075
-        r = lambda n: n ** (1.0 + k.alpha) * k.k[n] / float(k.L(n))
+        r = lambda n: n ** (1.0 + k.alpha) * k.k[n]
         assert r(k.n_max) / r(k.n_max // 2) == pytest.approx(1.0, abs=0.05)
 
     def test_survival_consistent_with_k(self, kernel_075):
@@ -45,12 +45,6 @@ class TestBuildKernel:
     def test_bad_alpha_rejected(self, alpha):
         with pytest.raises(rn.KernelError):
             rn.power_law_kernel(alpha, 100)
-
-    def test_log_power_l(self):
-        sv = rn.SlowlyVarying(kind="log-power", power=0.5)
-        k = rn.power_law_kernel(0.75, 5000, sv)
-        total = k.k.sum() + k.survival[k.n_max]
-        assert abs(total - 1.0) < 1e-10
 
     def test_finite_mean_kernel(self):
         k = rn.power_law_kernel(1.5, 20000)
@@ -64,8 +58,6 @@ class TestBuildKernel:
 _KERNELS = {
     "power-0.75": lambda: rn.power_law_kernel(0.75, 2000),
     "power-1.5": lambda: rn.power_law_kernel(1.5, 2000),
-    "power-log-L": lambda: rn.power_law_kernel(
-        0.75, 2000, rn.SlowlyVarying(kind="log-power", power=0.5)),
     "matched": lambda: rn.matched_power_kernel(0.75, 2000),
     "bessel": lambda: rn.bessel_like_return_law(rn.bessel_p_up(0.75), 500),
     "two-point-0.3": lambda: rn.two_point_kernel(0.3),
@@ -83,12 +75,13 @@ _HORIZON_CONSUMERS = {
         k, _free(N), 0.0, 0.0, N),
     "enumerate_pinned_exact": lambda k, N: dp.enumerate_pinned_exact(
         k, _free(N), 0.0, 0.0, N),
+    "scale_couplings": lambda k, N: dp.scale_couplings(0.5, 0.0, N, k),
 }
 
 
 class TestKernelRules:
     """The table invariants every builder keeps, and the one horizon rule
-    (RenewalKernel.check_horizon) that every consumer of a table applies."""
+    (RenewalKernel.head) through which every consumer reads a table."""
 
     @pytest.mark.parametrize("name", list(_KERNELS))
     def test_table_invariants(self, name):
@@ -220,11 +213,11 @@ class TestBesselWalk:
         assert abs(srw.k.sum() + srw.survival[srw.n_max] - 1.0) < 1e-9
 
     def test_tail_exponent(self, srw):
-        assert srw.tail_fit["fitted_alpha"] == pytest.approx(0.5, abs=0.05)
+        assert srw.alpha == pytest.approx(0.5, abs=0.05)
 
     def test_calibrated_exponent(self):
         k = rn.bessel_like_return_law(rn.bessel_p_up(0.75), 4000)
-        assert k.tail_fit["fitted_alpha"] == pytest.approx(0.75, abs=0.05)
+        assert k.alpha == pytest.approx(0.75, abs=0.05)
 
     @pytest.mark.parametrize("p_up", [
         rn.bessel_p_up(0.75), rn.bessel_p_up(0.3),
