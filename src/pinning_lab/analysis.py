@@ -267,19 +267,17 @@ def _ks_se(n1: int, n2: int) -> float:
     return 0.5 * np.sqrt(1.0 / n1 + 1.0 / n2)
 
 
-def _batched_z(spec: ct.ChaosSpec, increments: np.ndarray,
-               chunk: int = 250) -> np.ndarray:
-    """z_point_batch over (0, T) in replica chunks.
+def _batched_z(spec: ct.ChaosSpec, increments: np.ndarray) -> np.ndarray:
+    """z_point_batch over (0, T) in chunks of ct.PATH_CHUNK replicas.
 
     The chunks bound memory, not time: the solver holds c, x and e, about
-    24 bytes per replica and cell, so one call of R = 10,000 at M = 4096
-    would hold about 1 GB. At M = 4096, 2500 replicas took 1.9-2.2 s in
+    20 bytes per replica and cell, so one call of R = 10,000 at M = 4096
+    would hold about 0.8 GB. At M = 4096, 2500 replicas took 1.9-2.2 s in
     chunks of 250 and 1.6-1.8 s in one chunk."""
-    out = []
-    for i in range(0, increments.shape[0], chunk):
-        out.append(ct.z_point_batch(spec, increments[i:i + chunk],
-                                    0.0, spec.T))
-    return np.concatenate(out)
+    n = ct.PATH_CHUNK
+    return np.concatenate([ct.z_point_batch(spec, increments[i:i + n], 0.0,
+                                            spec.T)
+                           for i in range(0, increments.shape[0], n)])
 
 
 def _cdpm_draws(spec: ct.ChaosSpec, t1: float, grid: int, R: int, n: int,

@@ -140,6 +140,11 @@ def _check_grid(spec: ChaosSpec, path: BrownianPath) -> None:
         raise ValueError("spec and path disagree on the grid")
 
 
+# paths per batched solve in the Z profiles and in analysis' Z(0, T) over
+# many environments: the solver holds c, x and e, 20 bytes per path and cell
+PATH_CHUNK = 250
+
+
 def z_point_batch(spec: ChaosSpec, increments: np.ndarray,
                   s: float, t: float) -> np.ndarray:
     """Z(s, t) for many independent paths at once, one per row of the
@@ -156,7 +161,8 @@ def _forward(spec: ChaosSpec, delta: float, c: np.ndarray,
     from the left end, by one renewal_solve_batch call."""
     kg = _gap_factors(spec.alpha, delta, c.shape[0])
     ef = stable_constant(spec.alpha) * _cell_avg(spec.alpha, dist, delta)
-    return np.ldexp(*renewal_solve_batch(kg, ef, c))
+    x, e = renewal_solve_batch(kg, ef, c)
+    return np.ldexp(x, e, out=x)
 
 
 def _z_spans(spec: ChaosSpec, increments: np.ndarray, s, t,
@@ -171,8 +177,11 @@ def _z_spans(spec: ChaosSpec, increments: np.ndarray, s, t,
     delta = spec.T / spec.M
     s, i0, t, i1 = _ends(spec, s, t, delta)
     lag = np.arange(max(np.max(i1 - i0), 1))[:, None]
-    c = np.where(lag < i1 - i0, spec.beta_hat * increments[
-        env, np.minimum(i0 + lag, spec.M - 1)] + spec.h_hat * delta, 0.0)
+    # one (L, P) array: the gathered increments, weighted in place
+    c = increments[env, np.minimum(i0 + lag, spec.M - 1)]
+    c *= spec.beta_hat
+    c += spec.h_hat * delta
+    np.copyto(c, 0.0, where=lag >= i1 - i0)
     edges = delta * (i0 + np.arange(len(lag) + 1)[:, None])
     A = _forward(spec, delta, c, edges - s)
     tf = _cell_avg(spec.alpha, t - edges, delta)
@@ -187,16 +196,20 @@ def _profile(spec: ChaosSpec, path: BrownianPath, cells: np.ndarray,
 
     The forward coefficients A do not depend on the right end, so one
     recursion plus one convolution along the cells (axis 0, a column per
-    path) yields every profile."""
-    c = (spec.beta_hat * path.increments.reshape(-1, spec.M)[:, cells]
-         + spec.h_hat * path.delta).T
-    z = np.ones((len(c) + 1, c.shape[1]))
-    if len(c):  # S[m] = sum_{l<=m} A[l] tavg[m-l], dist a multiple of delta
-        A = _forward(spec, path.delta, c, dist)
+    path) yields every profile, in chunks of PATH_CHUNK paths."""
+    inc = path.increments.reshape(-1, spec.M)
+    z = np.ones((len(inc), len(cells) + 1))
+    if len(cells):
         tavg = _cell_avg(spec.alpha, dist, path.delta)
-        S = convolve(A, tavg[:, None])[:len(c)]
-        z[1:] += dist[1:, None] ** (1.0 - spec.alpha) * S
-    return z.T.reshape(*path.w.shape[:-1], -1)
+        scale = dist[1:, None] ** (1.0 - spec.alpha)
+        for p in range(0, len(inc), PATH_CHUNK):
+            c = (spec.beta_hat * inc[p:p + PATH_CHUNK, cells]
+                 + spec.h_hat * path.delta).T
+            A = _forward(spec, path.delta, c, dist)
+            # S[m] = sum_{l<=m} A[l] tavg[m-l], dist a multiple of delta
+            S = convolve(A, tavg[:, None])[:len(c)]
+            z[p:p + PATH_CHUNK, 1:] += (scale * S).T
+    return z.reshape(*path.w.shape[:-1], -1)
 
 
 def z_profile_from(spec: ChaosSpec, path: BrownianPath,
@@ -289,11 +302,20 @@ def z_second_moment_series(alpha: float, beta_hat: float, T,
     k = np.arange(1, k_max + 1)
     log_t = np.log(np.asarray(T, dtype=float))[..., None]
     logterms = (2 * k * np.log(beta_hat * c) + chi * k * log_t
-                + (k + 1) * lg - np.array([lgamma((j + 1) * chi) for j in k]))
+                + (k + 1) * lg - _lgamma_table(chi, k_max))
     if np.any(logterms[..., -1] >= logterms[..., -2]):
         raise ValueError("series not yet decreasing at k_max; raise k_max")
     out = 1.0 + np.exp(logterms).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+@lru_cache(maxsize=8)
+def _lgamma_table(chi: float, k_max: int) -> np.ndarray:
+    """lgamma((j + 1) chi) for j = 1..k_max, read-only: the series' last
+    factor, built once per (chi, k_max)."""
+    table = np.array([lgamma((j + 1) * chi) for j in np.arange(1, k_max + 1)])
+    table.flags.writeable = False
+    return table
 
 
 def second_moment_term(alpha: float, beta_hat: float, T: float, k: int) -> float:

@@ -81,6 +81,8 @@ class CouplingScale:
 def scale_couplings(beta_hat: float, h_hat: float, N: int,
                     kernel: RenewalKernel) -> CouplingScale:
     alpha = kernel.alpha
+    if not np.isfinite(alpha):
+        raise KernelError(f"kernel has no tail exponent (alpha = {alpha})")
     if alpha == 1.0:
         raise KernelError("alpha = 1 has no coupling scaling")
     if beta_hat <= 0:
@@ -102,24 +104,32 @@ def scale_couplings(beta_hat: float, h_hat: float, N: int,
 # partition functions
 
 
-def _transfer(kernel: RenewalKernel, arg: np.ndarray, beta: float,
-              h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _transfer(kernel: RenewalKernel, omega: np.ndarray, distribution: str,
+              beta: float, h: float) -> tuple[np.ndarray, ...]:
     """The weighted renewal recursion over N - 1 sites for R replicas.
 
-    arg (N-1, R) holds the site exponents in the order of the recursion.
-    Returns (k, x, e) with k = K(0..N), zero past the kernel's table, and
-    x[j-1] 2**e[j-1] = W(j) w_j for j = 1..N, where W(j) = K(j) +
-    sum_{i<j} W(i) w_i K(j-i) and the last site carries w = 1.
+    omega (N-1, R) holds the sites in the order of the recursion. Their
+    weights w = exp(beta omega - Lambda(beta) + h) fill one C-ordered (N, R)
+    buffer, built in place, whose last row is 1, the weight of the last
+    site. Returns (k, w, x, e) with k = K(0..N), zero past the kernel's
+    table, and x[j-1] 2**e[j-1] = W(j) w_j for j = 1..N, where W(j) = K(j)
+    + sum_{i<j} W(i) w_i K(j-i).
     """
-    N = arg.shape[0] + 1
+    N = omega.shape[0] + 1
     k = kernel.head(N)
+    w = np.empty((N, omega.shape[1]))
+    sites = w[:-1]
+    np.multiply(beta, omega, out=sites)
+    sites -= lambda_of(distribution, beta)
+    sites += h
     with np.errstate(over="ignore"):
-        w = np.exp(arg)
-    if np.isinf(w).any():
+        np.exp(sites, out=sites)
+    if np.isinf(sites).any():
         raise OverflowError(
             f"site weight not finite at N={N}, beta={beta}, h={h}")
-    x, e = renewal_solve_batch(k, k[1:], np.vstack([w, np.ones(w.shape[1])]))
-    return k, x, e
+    w[-1] = 1.0
+    x, e = renewal_solve_batch(k, k[1:], w)
+    return k, w, x, e
 
 
 def partition_dp(kernel: RenewalKernel, rf: RenewalFunction,
@@ -149,8 +159,7 @@ def partition_dp_batch(kernel: RenewalKernel, rf: RenewalFunction,
         raise KernelError("u(N) unavailable or zero")
     if N <= 1:
         return np.ones(R)
-    lam = lambda_of(distribution, beta)
-    _, x, e = _transfer(kernel, beta * omegas[:, :N - 1].T - lam + h, beta, h)
+    _, _, x, e = _transfer(kernel, omegas[:, :N - 1].T, distribution, beta, h)
     with np.errstate(over="ignore"):
         z = np.ldexp(x[-1], e[-1]) / rf.u[N]
     if not np.all(np.isfinite(z)):
@@ -209,7 +218,7 @@ def chaos_expansion_exact(kernel: RenewalKernel, rf: RenewalFunction,
 
 
 ROW_START = 16  # entries in a transition row's first prefix
-ROW_GROWTH = 4  # factor by which a prefix grows when a draw lies past it
+ROW_GROWTH = 2  # factor by which a prefix grows when a draw lies past it
 
 
 @dataclass(frozen=True)
@@ -344,14 +353,14 @@ def build_pinned_sampler(kernel: RenewalKernel, disorder: DisorderField,
     in reverse order, N-1 down to 1, with a last weight 1 for site 0."""
     if N - 1 > disorder.n_sites:
         raise ValueError("disorder field too short for horizon N")
-    arg = beta * disorder.omega[:N - 1] - disorder.lam(beta) + h
-    k, x, e = _transfer(kernel, arg[::-1, None], beta, h)
+    k, w, x, e = _transfer(kernel, disorder.omega[:N - 1][::-1, None],
+                           disorder.distribution, beta, h)
     mass = np.concatenate([[1.0], x[:, 0]])
     exp2 = np.concatenate([[0], e[:, 0]])
-    # V(i) = mass[N-i] 2**exp2[N-i] / w_i, on row i's scale 2**exp2[N-i-1]
-    w = np.concatenate([[1.0], np.exp(arg)])
+    # V(i) = mass[N-i] 2**exp2[N-i] / w_i, on row i's scale 2**exp2[N-i-1];
+    # w[::-1] holds w_0 = 1, w_1, ..., w_{N-1}
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.ldexp(w / mass[:0:-1], exp2[-2::-1] - exp2[:0:-1])
+        inv = np.ldexp(w[::-1, 0] / mass[:0:-1], exp2[-2::-1] - exp2[:0:-1])
     return PinnedSampler(N=N, k=k, mass=mass, exp2=exp2, inv=inv,
                          underflow=bool(np.any(mass[1:] == 0)))
 

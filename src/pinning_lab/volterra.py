@@ -12,6 +12,12 @@ by one matrix product and its own terms by a triangular solve per replica
 or, for many replicas, a step per index that is one BLAS matrix-vector
 product. convolve also serves the Z profiles and the exact g-law.
 
+Beside the caller's weights c, a blocked solve allocates x and its int32
+power-of-two exponents e: with c, 20 bytes per replica and index. On top
+come np.dot's C-ordered copy of each block's strided Toeplitz panel (up to
+BLOCK x n doubles) and, once some replica rescales, a copy of x's past.
+Each caller builds c once, in place.
+
 The matched kernel's deconvolution (lag kernel -u) is the least benign
 input: against a long-double term-by-term reference its K is within
 2.8e-10 relative at n = 2,048 and 2.9e-8 at 65,536 (a float term-by-term
@@ -44,16 +50,17 @@ def renewal_solve_batch(k: np.ndarray, f: np.ndarray,
     shape (n,) shared by all replicas or (n, R), and the lag kernel k of at
     least n+1 entries shared by all replicas; only k[1..n] is read.
 
-    Returns (x, e): the solution is x * 2**e, e an integer array of the
-    shape of x. With |f| <= 1 and sum |k| <= 1 each index grows the running
-    maximum by at most 2 max(|c|, 1), so a block of b indices grows it by at
-    most exp(b (max log+|c| + 1)). The block length keeps that within about
-    exp(600), and after a block whose largest |x| leaves less than that
-    growth below the largest double, the past of that replica is scaled down
-    by a power of two. An input that never gets there is solved in blocks of
-    BLOCK with e = 0, unscaled. A signed kernel such as -u in the matched
-    kernel's deconvolution is outside that bound (sum |k| >> 1); that solve
-    stays unscaled because its solution K lies in [0, 1].
+    Returns (x, e): the solution is x * 2**e, e an int32 array (np.frexp's
+    exponent type) of the shape of x. With |f| <= 1 and sum |k| <= 1 each
+    index grows the running maximum by at most 2 max(|c|, 1), so a block of
+    b indices grows it by at most exp(b (max log+|c| + 1)), max |c| read as
+    max(max c, -min c) with no |c| copy. The block length keeps that within
+    about exp(600), and after a block whose largest |x| leaves less than
+    that growth below the largest double, the past of that replica is
+    scaled down by a power of two. An input that never gets there is solved
+    in blocks of BLOCK with e = 0, unscaled. A signed kernel such as -u in
+    the matched kernel's deconvolution is outside that bound (sum |k| >> 1);
+    that solve stays unscaled because its solution K lies in [0, 1].
 
     A forcing above that bound starts scaled down. Above HALVE_ABOVE rows,
     the first n // 2 are solved first; their share of the later sums is one
@@ -76,7 +83,8 @@ def renewal_solve_batch(k: np.ndarray, f: np.ndarray,
                                               k[1:n, None])[h - 1:n - 1]
         x2, e2 = renewal_solve_batch(k, f2, c[h:])
         return np.concatenate([x1, x2]), np.concatenate([e1, e2 + cur])
-    step = np.log(max(1.0, float(np.max(np.abs(c), initial=0.0)))) + 1.0
+    step = np.log(max(1.0, float(c.max(initial=0.0)),
+                      -float(c.min(initial=0.0)))) + 1.0
     b = min(BLOCK, max(1, int(600 // step)))
     limit = np.exp(max(np.log(np.finfo(float).max) - b * step, 0.0))
     # toe[j, i] = k[j - i] for i < j and 0 for i >= j: a strided view
@@ -89,11 +97,11 @@ def renewal_solve_batch(k: np.ndarray, f: np.ndarray,
         top = min(b, n)  # stride, and k may hold just n + 1 entries
         krev = k[top:0:-1].copy()
     x = np.empty((n, R))
-    e = np.zeros((n, R), dtype=np.int64)
+    e = np.zeros((n, R), dtype=np.int32)
     # the past on the current scale, x * 2**(e - cur); x itself until a rescale
     fpeak = np.max(np.abs(f), axis=0, initial=0.0)
     past, cur = x, np.where(fpeak > limit, np.frexp(fpeak)[1],
-                            np.zeros(R, dtype=np.int64))
+                            np.zeros(R, dtype=np.int32))
     for j0 in range(0, n, b):
         m = min(b, n - j0)
         blk = slice(j0, j0 + m)

@@ -264,6 +264,18 @@ class TestEnvironments:
             assert smp.clipped[r] == pytest.approx(s1.clipped, rel=1e-13)
             np.testing.assert_array_equal(draws[r], s1.draw(u[r]))
 
+    def test_profiles_in_path_chunks(self, paths, monkeypatch):
+        # 17 paths solved 5, 5, 5 and 2 at a time: each row is its path's
+        # own profile
+        monkeypatch.setattr(ct, "PATH_CHUNK", 5)
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=0.3, M=256)
+        ze = ct.ZEvaluator(sp, self.stack(paths))
+        for r, p in enumerate(paths):
+            one = ct.ZEvaluator(sp, p)
+            for prof in ("from_0", "to_T"):
+                np.testing.assert_allclose(getattr(ze, prof)[1][r],
+                                           getattr(one, prof)[1], rtol=1e-13)
+
     def test_one_path_types_and_stream(self, paths):
         sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, M=256)
         ze = ct.ZEvaluator(sp, paths[0])
@@ -370,6 +382,14 @@ class TestSecondMoment:
     def test_underresolved_flagged(self):
         with pytest.raises(ValueError):
             ct.z_second_moment_series(ALPHA, 6.0, 1.0, k_max=2)
+
+    def test_lgamma_table_built_once(self):
+        ct._lgamma_table.cache_clear()
+        first = ct.z_second_moment_series(ALPHA, 0.7, 0.5)
+        assert ct.z_second_moment_series(ALPHA, 0.7, 0.5) == first
+        info = ct._lgamma_table.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert not ct._lgamma_table(2 * ALPHA - 1, 80).flags.writeable
 
 
 class TestGirsanov:

@@ -98,6 +98,11 @@ class TestScaling:
         with pytest.raises(ValueError):
             dp.scale_couplings(0.0, 0.0, 100, kernel)
 
+    def test_no_tail_exponent_rejected(self):
+        # a finitely supported law has alpha = nan: no scaling, not nan
+        with pytest.raises(rn.KernelError, match="no tail exponent"):
+            dp.scale_couplings(0.5, 0.2, 9, rn.two_point_kernel(0.3))
+
 
 class TestPartitionDP:
     def test_free_case_is_one(self, kernel, rf, disorder):

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -102,8 +104,10 @@ class TestKernelRules:
         run(kernel, 8)
         with pytest.raises(rn.KernelError, match="horizon 9 exceeds"):
             run(kernel, 9)
-        # a finitely supported law has nothing past its table
-        run(rn.two_point_kernel(0.3), 9)
+        # a finitely supported law has nothing past its table; it has no
+        # tail exponent either, which scale_couplings rejects first
+        if consumer != "scale_couplings":
+            run(rn.two_point_kernel(0.3), 9)
 
     def test_two_point_past_table_values(self):
         # K = 0 past the table: u solves u(n) = p u(n-1) + (1-p) u(n-2), and
@@ -225,14 +229,31 @@ class TestBesselWalk:
         lambda x: np.where(x == 0, 1.0, 0.3)],
         ids=["alpha0.75", "alpha0.3", "transient", "past-1e9"])
     def test_escape_matches_scalar_loop(self, p_up):
-        total = rho = 1.0
+        # rho_k over k < 20,000, its tail exponent over the last doubling
+        # (gamma <= 1: recurrent, escape 0), else the partial sum plus the
+        # tail's integral
+        log_rho = []
         for p in p_up(np.arange(1, 20_000)).tolist():
-            rho *= (1.0 - p) / p
-            total += rho
-            if total > 1e9:
-                break
-        want = 0.0 if total > 1e9 else 1.0 / total
-        assert rn._escape_probability(p_up, cutoff=20_000) == want
+            log_rho.append((log_rho[-1] if log_rho else 0.0)
+                           + math.log((1.0 - p) / p))
+        K = len(log_rho)
+        gamma = (log_rho[K // 2 - 1] - log_rho[-1]) / math.log(K / (K // 2))
+        got = rn._escape_probability(p_up, cutoff=20_000)
+        if gamma <= 1.0:
+            assert got == 0.0
+        else:
+            rho = [math.exp(v) for v in log_rho]
+            total = 1.0 + sum(rho) + K * rho[-1] / (gamma - 1.0)
+            assert got == pytest.approx(1.0 / total, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.45])
+    def test_recurrent_below_one_half(self, alpha):
+        # rho_k ~ k^-(1 - 2 alpha) sums to infinity: recurrent, though the
+        # sum to 2,000,000 terms reads 7,931 at alpha = 0.3
+        k = rn.bessel_like_return_law(rn.bessel_p_up(alpha), 2000)
+        assert rn._escape_probability(rn.bessel_p_up(alpha)) == 0.0
+        assert abs(k.k.sum() + k.survival[k.n_max] - 1.0) <= 1e-12
+        assert k.alpha == pytest.approx(alpha, abs=0.05)
 
     def test_transient_rejected(self):
         with pytest.raises(rn.KernelError, match="transient"):

@@ -1,5 +1,7 @@
 """Tests for the replica-batched weighted renewal solver and its callers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -121,6 +123,28 @@ def test_discrete_batch_matches_scalar_off_block(kernel, rf):
         d = dp.DisorderField(om, "standard-normal")
         assert z == pytest.approx(
             dp.partition_dp(kernel, rf, d, 0.2, 0.01, 0, N), rel=1e-12)
+
+
+def test_discrete_batch_peak_memory(kernel, rf):
+    # one (N, R) weight buffer, x and int32 e: 2.5 N R doubles. np.dot adds
+    # its C-ordered copy of one block's Toeplitz panel, at most BLOCK x N
+    # doubles (a strided Toeplitz view has overlapping rows, which BLAS
+    # cannot read); a quarter more covers the rest
+    N, R = 1024, 64
+    omegas = stream(34).standard_normal((R, N - 1))
+    args = (kernel, rf, omegas, "standard-normal", 0.05, 0.01, N)
+    dp.partition_dp_batch(*args)
+    tracemalloc.start()
+    try:
+        dp.partition_dp_batch(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2.5 + BLOCK / R + 0.25) * N * R * 8
+    for n in (N, volterra.HALVE_ABOVE + 1):  # blocked, and halved
+        k = np.full(n + 1, 0.5 / n)
+        assert renewal_solve_batch(k, k[1:], np.ones((n, 2)))[1].dtype == (
+            np.int32)
 
 
 def test_discrete_batch_matches_chaos_expansion(kernel, rf):
