@@ -267,19 +267,6 @@ def _ks_se(n1: int, n2: int) -> float:
     return 0.5 * np.sqrt(1.0 / n1 + 1.0 / n2)
 
 
-def _batched_z(spec: ct.ChaosSpec, increments: np.ndarray) -> np.ndarray:
-    """z_point_batch over (0, T) in chunks of ct.PATH_CHUNK replicas.
-
-    The chunks bound memory, not time: the solver holds c, x and e, about
-    20 bytes per replica and cell, so one call of R = 10,000 at M = 4096
-    would hold about 0.8 GB. At M = 4096, 2500 replicas took 1.9-2.2 s in
-    chunks of 250 and 1.6-1.8 s in one chunk."""
-    n = ct.PATH_CHUNK
-    return np.concatenate([ct.z_point_batch(spec, increments[i:i + n], 0.0,
-                                            spec.T)
-                           for i in range(0, increments.shape[0], n)])
-
-
 def _cdpm_draws(spec: ct.ChaosSpec, t1: float, grid: int, R: int, n: int,
                 rng: np.random.Generator):
     """R environments, each followed in the stream by the 3 n uniforms of its
@@ -313,7 +300,6 @@ class ConvergenceConfig:
     continuum_M: int = 2048
     fdd_replicas: int = 250
     disorder: str = "standard-normal"
-    kernel: str = "matched"
     ks_threshold: float = 0.001
 
 
@@ -399,10 +385,7 @@ def experiment_convergence(config: ConvergenceConfig | None = None,
     # the matched kernel removes the O(N^(alpha-1)) slowly varying
     # corrections of a generic kernel's renewal function, which otherwise
     # dominate the distance to the continuum limit at desk-scale N
-    if cfg.kernel == "matched":
-        kernel = rn.matched_power_kernel(cfg.alpha, n_top)
-    else:
-        kernel = rn.power_law_kernel(cfg.alpha, n_top)
+    kernel = rn.matched_power_kernel(cfg.alpha, n_top)
     rf = rn.renewal_function(kernel, n_top)
 
     if cfg.beta_hat == 0.0:
@@ -429,7 +412,7 @@ def experiment_convergence(config: ConvergenceConfig | None = None,
         * np.sqrt(cfg.T / cfg.continuum_M)
     spec = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=cfg.beta_hat,
                         h_hat=cfg.h_hat, T=cfg.T, M=cfg.continuum_M)
-    z_cont = _batched_z(spec, inc)
+    z_cont = ct.z_point_batch(spec, inc, 0.0, spec.T)
 
     ladder = []
     for i, (N, R) in enumerate(zip(cfg.n_ladder, cfg.replicas)):
@@ -599,7 +582,7 @@ def experiment_singularity(config: SingularityConfig | None = None,
     frac = []
     for b in cfg.beta_ladder:
         spec = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=b, M=cfg.M)
-        z = _batched_z(spec, inc)
+        z = ct.z_point_batch(spec, inc, 0.0, spec.T)
         # Z <= 0 enters as 0; z_nonpositive counts those replicas
         zg = np.where(z > 0, z, 0.0) ** cfg.gamma
         # control variate: E[Z] = 1 exactly, and Z^gamma is strongly
@@ -711,12 +694,12 @@ def experiment_z_properties(config: ZPropertiesConfig | None = None,
     M = cfg.translation_M
     inc_long = rng.standard_normal((R, M)) * np.sqrt(A / M)
     spec_long = ct.ChaosSpec(alpha=a, beta_hat=cfg.scaling_beta, T=A, M=M)
-    z_long = _batched_z(spec_long, inc_long)
+    z_long = ct.z_point_batch(spec_long, inc_long, 0.0, spec_long.T)
     inc_unit = rng.standard_normal((R, M)) * np.sqrt(1.0 / M)
     spec_unit = ct.ChaosSpec(alpha=a,
                              beta_hat=A ** (a - 0.5) * cfg.scaling_beta,
                              T=1.0, M=M)
-    z_unit = _batched_z(spec_unit, inc_unit)
+    z_unit = ct.z_point_batch(spec_unit, inc_unit, 0.0, spec_unit.T)
     stat, p = ks_two_sample(z_long, z_unit)
     rep.tests["scaling_ks"] = {"stat": stat, "p": p}
     rep.verdicts["scaling_ks"] = p > cfg.ks_threshold
@@ -756,7 +739,7 @@ def experiment_z_properties(config: ZPropertiesConfig | None = None,
     rng_p = stream(seed, 3)
     inc = rng_p.standard_normal((cfg.replicas, cfg.M)) / np.sqrt(cfg.M)
     spec_p = ct.ChaosSpec(alpha=a, beta_hat=cfg.beta_hat, T=1.0, M=cfg.M)
-    z = _batched_z(spec_p, inc)
+    z = ct.z_point_batch(spec_p, inc, 0.0, spec_p.T)
     fail_rate = float(np.mean(z <= 0))
     rep.tests["positivity"] = {"failure_rate": fail_rate,
                                "min_z": float(z.min())}

@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands dispatch to the samplers and experiments; every run writes a
-JSON report embedding the fully resolved configuration, plus optional CSV
-dumps. All randomness flows through (seed, stream_id) pairs; reruns with
-the same config and seed produce byte-identical reports (wall-clock time
-is printed, not stored). Exit codes: 0 all criteria in scope pass, 1
-usage or config error, 2 criterion failure.
+JSON report holding every option of its subcommand beside its results,
+plus optional CSV dumps. All randomness flows through (seed, stream_id)
+pairs; reruns with the same config and seed produce byte-identical reports
+(wall-clock time is printed, not stored). Exit codes: 0 all criteria in
+scope pass, 1 usage or config error, 2 criterion failure.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ def _write_rows(out_dir: str, name: str, header: list[str], rows) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit_code, payload)
+# subcommand handlers: each returns (exit_code, results, csv dumps); run
+# adds the subcommand's options to the results
 
 
 def _cmd_sample_renewal(args, seed):
@@ -98,10 +99,8 @@ def _cmd_sample_renewal(args, seed):
                else rn.sample_renewal(kernel, args.n, rng))
         lengths.append(len(pts))
         rows.extend((i, p) for p in pts)
-    payload = {"n": args.n, "alpha": args.alpha,
-               "conditioned": args.conditioned, "samples": args.samples,
-               "mean_points": float(np.mean(lengths))}
-    return 0, payload, [("renewal_points", ["sample", "site"], rows)]
+    return 0, {"mean_points": float(np.mean(lengths))}, [
+        ("renewal_points", ["sample", "site"], rows)]
 
 
 def _cmd_partition(args, seed):
@@ -111,9 +110,7 @@ def _cmd_partition(args, seed):
     om = stream(seed, 0).standard_normal(max(args.N - 1, 1))
     dis = dp.DisorderField(om, "standard-normal")
     z = dp.partition_dp(kernel, rf, dis, args.beta, args.h, 0, args.N)
-    payload = {"N": args.N, "beta": args.beta, "h": args.h,
-               "alpha": args.alpha, "Z": z}
-    return (0 if z > 0 else 2), payload, []
+    return (0 if z > 0 else 2), {"Z": z}, []
 
 
 def _cmd_sample_pinning(args, seed):
@@ -129,10 +126,8 @@ def _cmd_sample_pinning(args, seed):
         dis = dp.sample_disorder("standard-normal", args.N - 1, rng)
         tau = dp.build_pinned_sampler(kernel, dis, beta, h, args.N).sample(rng)
         rows.extend((i, p) for p in tau.points)
-    payload = {"N": args.N, "beta_hat": args.beta_hat,
-               "h_hat": args.h_hat, "samples": args.samples,
-               "beta_N": beta, "h_N": h}
-    return 0, payload, [("pinned_points", ["sample", "site"], rows)]
+    return 0, {"beta_N": beta, "h_N": h}, [
+        ("pinned_points", ["sample", "site"], rows)]
 
 
 def _cmd_sample_regen(args, seed):
@@ -141,9 +136,7 @@ def _cmd_sample_regen(args, seed):
     for i in range(args.samples):
         s = ct.sample_regen_conditioned(args.alpha, args.T, args.depth, rng)
         rows.extend((i, p) for p in s.set.points)
-    payload = {"alpha": args.alpha, "T": args.T, "depth": args.depth,
-               "samples": args.samples}
-    return 0, payload, [("regen_points", ["sample", "t"], rows)]
+    return 0, {}, [("regen_points", ["sample", "t"], rows)]
 
 
 def _cmd_continuum_z(args, seed):
@@ -153,12 +146,8 @@ def _cmd_continuum_z(args, seed):
     ze = ct.ZEvaluator(spec, path)
     ts, prof = ze.from_0
     z0t = ze.z0T()
-    payload = {"alpha": args.alpha, "beta_hat": args.beta_hat,
-               "h_hat": args.h_hat, "T": args.T, "M": args.M,
-               "Z_0T": z0t}
-    rows = list(zip(ts, prof))
-    return (0 if z0t > 0 else 2), payload, [
-        ("z_profile", ["t", "Z"], rows)]
+    return (0 if z0t > 0 else 2), {"Z_0T": z0t}, [
+        ("z_profile", ["t", "Z"], list(zip(ts, prof)))]
 
 
 def _cmd_cdpm_fdd(args, seed):
@@ -169,10 +158,7 @@ def _cmd_cdpm_fdd(args, seed):
     ze = ct.ZEvaluator(spec, path)
     pairs = ct.CdpmFddSampler(ze, args.t1, args.grid).sample(args.samples,
                                                                rng)
-    payload = {"alpha": args.alpha, "beta_hat": args.beta_hat,
-               "t1": args.t1, "samples": args.samples,
-               "Z_0T": ze.z0T()}
-    return 0, payload, [("cdpm_pairs", ["g", "d"], pairs)]
+    return 0, {"Z_0T": ze.z0T()}, [("cdpm_pairs", ["g", "d"], pairs)]
 
 
 def _cmd_check_renewal(args, seed):
@@ -187,8 +173,7 @@ def _cmd_check_renewal(args, seed):
     bound = rn.check_coupling_bound(brf, bk)
     ratio_ok = abs(float(ratio.ratios[-1]) - 1.0) < 0.1
     ok = ratio_ok and smooth.passed and bound.max_violation <= 1e-10
-    payload = {"alpha": args.alpha, "n": args.n,
-               "ratio_final": float(ratio.ratios[-1]),
+    payload = {"ratio_final": float(ratio.ratios[-1]),
                "smoothness_delta": smooth.delta,
                "coupling_violation": float(bound.max_violation),
                "passed": bool(ok)}
@@ -211,14 +196,19 @@ def _cmd_experiment(args, seed):
                           f"choose from {sorted(an.EXPERIMENTS)}")
     cfg_cls, fn = an.EXPERIMENTS[args.name]
     overrides = _load_config(args.config)
-    fields = {f.name for f in dataclasses.fields(cfg_cls)}
-    bad = set(overrides) - fields
+    defaults = {f.name: f.default for f in dataclasses.fields(cfg_cls)}
+    bad = set(overrides) - set(defaults)
     if bad:
         raise ConfigError(f"unknown config keys {sorted(bad)}")
-    # JSON has no tuples; coerce list-valued overrides
     for key, val in overrides.items():
-        if isinstance(val, list):
-            overrides[key] = tuple(val)
+        # JSON has no tuples: a tuple field takes a list; a float field
+        # takes an int too; a bool is no number
+        kind = type(defaults[key])
+        if type(val) not in {tuple: (list,), float: (int, float)}.get(
+                kind, (kind,)):
+            raise ConfigError(f"config key {key!r} needs a {kind.__name__}, "
+                              f"not {val!r}")
+        overrides[key] = tuple(val) if kind is tuple else val
     cfg = cfg_cls(**overrides)
     report = fn(cfg, seed=seed)
     payload = json.loads(report.to_json(include_wall_clock=False))
@@ -327,8 +317,9 @@ def run(argv=None) -> int:
     except (rn.KernelError, ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    payload = {"subcommand": args.subcommand, "seed": args.seed,
-               "threads": threads,
+    options = {k: v for k, v in vars(args).items()
+               if k not in ("config", "out", "handler")}
+    payload = {**options, "threads": threads,
                "threads_applied": threadpool_limits is not None, **payload}
     report_path = _write_report(args.out, args.subcommand, payload)
     for name, header, rows in dumps:

@@ -33,30 +33,6 @@ class ClosedSetR:
     def __len__(self) -> int:
         return len(self.points)
 
-    def shift(self, c: float) -> "ClosedSetR":
-        return ClosedSetR(self.points + c, self.resolution)
-
-
-def from_points(points, resolution: float = 1.0) -> ClosedSetR:
-    pts = np.unique(np.asarray(points, dtype=float))
-    return ClosedSetR(pts, resolution)
-
-
-EMPTY = ClosedSetR(np.empty(0), 1.0)
-
-
-@dataclass(frozen=True)
-class GDRecord:
-    """g = last point <= t, d = first point > t (with -inf / +inf defaults)."""
-
-    t: float
-    g: float
-    d: float
-
-    def __post_init__(self):
-        if not (self.g <= self.t < self.d):
-            raise ValueError("need g <= t < d")
-
 
 def g_map(C: ClosedSetR, t: float) -> float:
     """sup{x in C : x <= t}, with sup of the empty set = -inf."""
@@ -68,10 +44,6 @@ def d_map(C: ClosedSetR, t: float) -> float:
     """inf{x in C : x > t}, with inf of the empty set = +inf."""
     i = np.searchsorted(C.points, t, side="right")
     return float(C.points[i]) if i < len(C.points) else np.inf
-
-
-def gd_record(C: ClosedSetR, t: float) -> GDRecord:
-    return GDRecord(t=t, g=g_map(C, t), d=d_map(C, t))
 
 
 # ---------------------------------------------------------------------------

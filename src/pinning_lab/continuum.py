@@ -44,8 +44,8 @@ class BrownianPath:
 
 
 def sample_brownian(T: float, M: int, rng: np.random.Generator) -> BrownianPath:
-    if M < 2:
-        raise ValueError("need M >= 2")
+    if not T > 0 or M < 2:
+        raise ValueError("need T > 0, M >= 2")
     inc = rng.standard_normal(M) * np.sqrt(T / M)
     w = np.concatenate([[0.0], np.cumsum(inc)])
     return BrownianPath(T=T, M=M, w=w)
@@ -140,18 +140,21 @@ def _check_grid(spec: ChaosSpec, path: BrownianPath) -> None:
         raise ValueError("spec and path disagree on the grid")
 
 
-# paths per batched solve in the Z profiles and in analysis' Z(0, T) over
-# many environments: the solver holds c, x and e, 20 bytes per path and cell
+# paths per batched solve in the Z profiles and in z_point_batch: the solver
+# holds c, x and e, 20 bytes per path and cell
 PATH_CHUNK = 250
 
 
 def z_point_batch(spec: ChaosSpec, increments: np.ndarray,
                   s: float, t: float) -> np.ndarray:
     """Z(s, t) for many independent paths at once, one per row of the
-    increments (R, M)."""
+    increments (R, M), PATH_CHUNK paths per solve (at R = 0 one empty
+    chunk, which still checks the ends)."""
     if increments.shape[1] != spec.M:
         raise ValueError(f"need increments of shape (R, {spec.M})")
-    return _z_spans(spec, increments, s, t, np.arange(increments.shape[0]))
+    return np.concatenate([_z_spans(spec, inc, s, t, np.arange(len(inc)))
+                           for inc in np.split(increments, range(
+                               PATH_CHUNK, len(increments), PATH_CHUNK))])
 
 
 def _forward(spec: ChaosSpec, delta: float, c: np.ndarray,
@@ -295,7 +298,7 @@ def z_second_moment_series(alpha: float, beta_hat: float, T,
     if not 0.5 < alpha < 1:
         raise ValueError("series valid for alpha in (1/2, 1)")
     if beta_hat == 0.0:
-        return 1.0
+        return 1.0 if np.ndim(T) == 0 else np.ones(np.shape(T))
     chi = 2.0 * alpha - 1.0
     c = stable_constant(alpha)
     lg = lgamma(chi)
@@ -412,6 +415,9 @@ def sample_regen_conditioned(alpha: float, T: float, n_max: int,
     """
     if not 0.5 < alpha < 1:
         raise ValueError("sampler defined for alpha in (1/2, 1)")
+    if not T > 0:
+        # at T = 0 no interval falls below the cutoff 0: it never ends
+        raise ValueError("need T > 0")
     if n_max > 24:
         raise ValueError("n_max capped at 24")
     cutoff = T * 2.0 ** (-n_max)

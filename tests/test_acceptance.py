@@ -127,8 +127,7 @@ def test_criterion_4_reference_law(capsys):
     sets = []
     for i in range(n_samp):
         s = ct.sample_regen_conditioned(alpha, T, 13, rng)
-        rec = cs.gd_record(s.set, t1)
-        g[i], d[i] = rec.g, rec.d
+        g[i], d[i] = cs.g_map(s.set, t1), cs.d_map(s.set, t1)
         if i < 300:
             sets.append(s.set)
 
@@ -174,7 +173,7 @@ def test_criterion_5_continuum_moments(capsys):
     z_by_beta = {}
     for beta_hat in (0.25, 0.5):
         spec = ct.ChaosSpec(alpha=alpha, beta_hat=beta_hat, T=T, M=M)
-        z = an._batched_z(spec, inc)
+        z = ct.z_point_batch(spec, inc, 0.0, T)
         z_by_beta[beta_hat] = z
         se_mean = z.std() / np.sqrt(R)
         mean_ok = abs(z.mean() - 1.0) < 3 * se_mean
@@ -187,7 +186,7 @@ def test_criterion_5_continuum_moments(capsys):
                       f"var={z.var():.4f} vs {target:.4f}")
 
     spec_h = ct.ChaosSpec(alpha=alpha, beta_hat=0.5, h_hat=0.5, T=T, M=M)
-    z_h = an._batched_z(spec_h, inc)
+    z_h = ct.z_point_batch(spec_h, inc, 0.0, T)
     r = 0.5 / 0.5
     tilt = np.exp(r * inc.sum(axis=1) - 0.5 * r * r * T)
     diff = z_h - tilt * z_by_beta[0.5]

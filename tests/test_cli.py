@@ -48,6 +48,42 @@ class TestPlumbing:
         assert code == 1
         capsys.readouterr()
 
+    def test_kernel_is_no_config_key(self, tmp_path, capsys):
+        # the convergence experiment always uses the matched kernel
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"kernel": "matched"}')
+        code = cli.run(["--config", str(cfg), "--out", str(tmp_path),
+                        "experiment", "convergence"])
+        assert code == 1
+        assert "unknown config keys ['kernel']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        {"n_ladder": 64}, {"replicas": "3000"}, {"continuum_M": 512.0},
+        {"t1": "0.5"}, {"T": True}, {"pinned_replicas": False},
+        {"disorder": 1}])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, override):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(override))
+        code = cli.run(["--config", str(cfg), "--out", str(tmp_path),
+                        "experiment", "convergence"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config key '{[*override][0]}'")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "experiment.json").exists()
+
+    def test_config_int_for_float_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"T": 1, "beta_hat": 0, "n_ladder": [64],
+                                   "replicas": [100],
+                                   "pinned_replicas": 500}))
+        code = cli.run(["--config", str(cfg), "--out", str(tmp_path),
+                        "experiment", "convergence"])
+        capsys.readouterr()
+        assert code in (0, 2)
+        rep = _report(tmp_path, "experiment")
+        assert rep["config"]["T"] == 1 and rep["config"]["n_ladder"] == [64]
+
     def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PINNING_LAB_THREADS", "3")
         assert cli._resolve_threads(None) == 3
@@ -71,6 +107,26 @@ class TestPlumbing:
         capsys.readouterr()
         rep = _report(tmp_path, "partition")
         assert rep["threads"] == 2 and rep["threads_applied"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ["sample-renewal", "--n", "200", "--samples", "2"],
+        ["partition", "--N", "8"],
+        ["sample-pinning", "--N", "64", "--samples", "1"],
+        ["sample-regen", "--depth", "4", "--samples", "1"],
+        ["continuum-z", "--M", "64"],
+        ["cdpm-fdd", "--M", "64", "--grid", "16", "--samples", "2"],
+        ["check-renewal", "--n", "2000"],
+        ["dirichlet-check", "--chi", "0.5", "--k", "1"]],
+        ids=lambda argv: argv[0])
+    def test_report_holds_every_option(self, tmp_path, capsys, argv):
+        # each option of the subcommand, defaults included, with its value
+        assert _run(tmp_path, "--seed", "3", *argv) in (0, 2)
+        capsys.readouterr()
+        rep = _report(tmp_path, argv[0])
+        options = {k: v for k, v in vars(
+            cli._build_parser().parse_args(["--seed", "3", *argv])).items()
+            if k not in ("config", "out", "handler", "threads")}
+        assert {k: rep[k] for k in options} == options
 
     def test_import_leaves_out_scipy_signal_and_stats(self):
         # scipy.stats alone takes about 0.6 s to import; it is loaded only
@@ -148,6 +204,11 @@ class TestSamplers:
         assert code == 0
         assert (tmp_path / "regen_points.csv").exists()
 
+    def test_sample_regen_zero_horizon(self, tmp_path, capsys):
+        assert _run(tmp_path, "sample-regen", "--T", "0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_continuum_z(self, tmp_path, capsys):
         code = _run(tmp_path, "continuum-z", "--M", "256")
         capsys.readouterr()
@@ -217,5 +278,6 @@ class TestExperimentCommand:
         capsys.readouterr()
         rep = _report(tmp_path, "experiment")
         assert rep["config"]["M"] == 256
+        assert rep["name"] == "z-properties" and rep["seed"] == 7
         assert rep["config"]["alpha"] == 0.75
         assert set(rep["verdicts"]) >= {"scaling_series", "positivity"}

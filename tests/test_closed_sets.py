@@ -6,34 +6,32 @@ from hypothesis import strategies as st
 from pinning_lab import closed_sets as cs
 
 
+EMPTY = cs.ClosedSetR(np.empty(0))
+
 finite_sets = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False),
     min_size=0, max_size=12,
-).map(lambda xs: cs.from_points(xs))
+).map(lambda xs: cs.ClosedSetR(np.unique(xs)))
 
 
 class TestGDMaps:
     def test_interior(self):
-        C = cs.from_points([0.0, 1.0])
+        C = cs.ClosedSetR([0.0, 1.0])
         assert cs.g_map(C, 0.5) == 0.0
         assert cs.d_map(C, 0.5) == 1.0
 
     def test_empty(self):
-        assert cs.g_map(cs.EMPTY, 3.0) == -np.inf
-        assert cs.d_map(cs.EMPTY, 3.0) == np.inf
+        assert cs.g_map(EMPTY, 3.0) == -np.inf
+        assert cs.d_map(EMPTY, 3.0) == np.inf
 
     def test_right_endpoint_strict(self):
-        C = cs.from_points([0.0, 1.0])
+        C = cs.ClosedSetR([0.0, 1.0])
         assert cs.g_map(C, 1.0) == 1.0
         assert cs.d_map(C, 1.0) == np.inf
 
     def test_record_invariant(self):
-        rec = cs.gd_record(cs.from_points([0.0, 2.0]), 1.0)
-        assert rec.g <= rec.t < rec.d
-
-    def test_bad_record_rejected(self):
-        with pytest.raises(ValueError):
-            cs.GDRecord(t=1.0, g=2.0, d=3.0)
+        C = cs.ClosedSetR([0.0, 2.0])
+        assert cs.g_map(C, 1.0) <= 1.0 < cs.d_map(C, 1.0)
 
     @given(finite_sets, st.floats(-40, 40))
     def test_right_continuity(self, C, t):
@@ -46,24 +44,25 @@ class TestGDMaps:
 
 class TestFmDistance:
     def test_empty_empty(self):
-        assert cs.fm_distance(cs.EMPTY, cs.EMPTY) == 0.0
+        assert cs.fm_distance(EMPTY, EMPTY) == 0.0
 
     def test_singleton_vs_empty(self):
-        d = cs.fm_distance(cs.from_points([0.0]), cs.EMPTY)
+        d = cs.fm_distance(cs.ClosedSetR([0.0]), EMPTY)
         assert d == pytest.approx(np.pi / 2, abs=1e-14)
 
     def test_shift_decreasing(self):
-        C = cs.from_points([0.0, 1.0, 2.0])
-        ds = [cs.fm_distance(C, C.shift(1.0 / n)) for n in (1, 2, 4, 8)]
+        C = cs.ClosedSetR([0.0, 1.0, 2.0])
+        ds = [cs.fm_distance(C, cs.ClosedSetR(C.points + 1.0 / n))
+              for n in (1, 2, 4, 8)]
         assert all(a > b for a, b in zip(ds, ds[1:]))
         assert ds[-1] < 0.2
 
     def test_identity(self):
-        C = cs.from_points([0.3, 1.7])
+        C = cs.ClosedSetR([0.3, 1.7])
         assert cs.fm_distance(C, C) == 0.0
 
     def test_distinct_positive(self):
-        assert cs.fm_distance(cs.from_points([0.0]), cs.from_points([1.0])) > 0
+        assert cs.fm_distance(cs.ClosedSetR([0.0]), cs.ClosedSetR([1.0])) > 0
 
     @given(finite_sets, finite_sets)
     def test_symmetry(self, A, B):
@@ -80,17 +79,17 @@ class TestFmDistance:
 
 class TestBoxCount:
     def test_endpoints_only(self):
-        C = cs.from_points([0.0, 1.0], resolution=2.0 ** -10)
+        C = cs.ClosedSetR([0.0, 1.0], resolution=2.0 ** -10)
         for n in (1, 4, 8):
             assert cs.box_count(C, n, 1.0) == 2
 
     def test_full_grid(self):
         n = 6
-        C = cs.from_points(np.arange(2 ** n + 1) / 2 ** n, resolution=2.0 ** -n)
+        C = cs.ClosedSetR(np.arange(2 ** n + 1) / 2 ** n, resolution=2.0 ** -n)
         assert cs.box_count(C, n, 1.0) == 2 ** n
 
     def test_resolution_guard(self):
-        C = cs.from_points([0.0, 1.0], resolution=0.25)
+        C = cs.ClosedSetR([0.0, 1.0], resolution=0.25)
         with pytest.raises(ValueError):
             cs.box_count(C, 4, 1.0)
 
@@ -98,14 +97,14 @@ class TestBoxCount:
         lambda k: k / 64)), max_size=40), st.integers(0, 6))
     def test_matches_unique_count(self, xs, n):
         # points at 0, at T, on block boundaries and outside [0, T]
-        C = cs.from_points(xs, resolution=2.0 ** -6)
+        C = cs.ClosedSetR(np.unique(xs), resolution=2.0 ** -6)
         pts = C.points[(C.points >= 0) & (C.points <= 1)]
         j = np.ceil(pts * 2.0 ** n).astype(np.int64)
         j[pts == 0.0] = 1
         assert cs.box_count(C, n, 1.0) == len(np.unique(j))
 
     def test_slope_of_full_grid(self):
-        C = cs.from_points(np.arange(2 ** 10 + 1) / 2 ** 10, resolution=2.0 ** -10)
+        C = cs.ClosedSetR(np.arange(2 ** 10 + 1) / 2 ** 10, resolution=2.0 ** -10)
         counts = {n: cs.box_count(C, n, 1.0) for n in range(4, 10)}
         assert cs.box_count_slope(counts) == pytest.approx(1.0, abs=0.01)
 
@@ -120,7 +119,7 @@ class TestCoveringSum:
 
     def test_full_grid_closed_form(self):
         n, m = 4, 7  # blocks at level n, grid at level m
-        C = cs.from_points(np.arange(2 ** m + 1) / 2 ** m, resolution=2.0 ** -m)
+        C = cs.ClosedSetR(np.arange(2 ** m + 1) / 2 ** m, resolution=2.0 ** -m)
         s = cs.covering_sum(C, n, 0.5, 1.0)
         # first block holds points 0..2^-n inclusive (span 2^-n); the other
         # 2^n - 1 blocks are left-open with span 2^-n - 2^-m
@@ -128,10 +127,10 @@ class TestCoveringSum:
         assert s == pytest.approx(expect, rel=1e-12)
 
     def test_singleton_blocks_contribute_zero(self):
-        C = cs.from_points([0.0, 0.5, 1.0], resolution=2.0 ** -8)
+        C = cs.ClosedSetR([0.0, 0.5, 1.0], resolution=2.0 ** -8)
         assert cs.covering_sum(C, 2, 0.5, 1.0) == 0.0
 
     def test_requires_endpoints(self):
-        C = cs.from_points([0.2, 0.8], resolution=2.0 ** -8)
+        C = cs.ClosedSetR([0.2, 0.8], resolution=2.0 ** -8)
         with pytest.raises(ValueError):
             cs.covering_sum(C, 2, 0.5, 1.0)

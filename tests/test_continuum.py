@@ -45,6 +45,11 @@ class TestBrownian:
         with pytest.raises(ValueError):
             ct.sample_brownian(1.0, 1, stream(0))
 
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_horizon_rejected(self, T):
+        with pytest.raises(ValueError, match="T > 0"):
+            ct.sample_brownian(T, 8, stream(0))
+
 
 class TestSpec:
     def test_alpha_range(self):
@@ -276,6 +281,25 @@ class TestEnvironments:
                 np.testing.assert_allclose(getattr(ze, prof)[1][r],
                                            getattr(one, prof)[1], rtol=1e-13)
 
+    def test_batch_in_path_chunks(self, paths, monkeypatch):
+        # 17 paths solved 5, 5, 5 and 2 at a time: each value is its path's
+        # own Z; no path is one empty chunk, which still checks the ends
+        monkeypatch.setattr(ct, "PATH_CHUNK", 5)
+        sizes, spans = [], ct._z_spans
+        monkeypatch.setattr(ct, "_z_spans", lambda sp, inc, *a: (
+            sizes.append(len(inc)), spans(sp, inc, *a))[1])
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=0.3, M=256)
+        incs = self.stack(paths).increments
+        z = ct.z_point_batch(sp, incs, 0.1, 0.9)
+        assert sizes == [5, 5, 5, 2]
+        for r, p in enumerate(paths):
+            one = ct.z_point_batch(sp, p.increments[None], 0.1, 0.9)
+            np.testing.assert_allclose(z[r], one[0], rtol=1e-13)
+        empty = ct.z_point_batch(sp, incs[:0], 0.1, 0.9)
+        assert empty.shape == (0,) and empty.dtype == float
+        with pytest.raises(ValueError, match="0 <= s <= t <= T"):
+            ct.z_point_batch(sp, incs[:0], 0.9, 0.1)
+
     def test_one_path_types_and_stream(self, paths):
         sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, M=256)
         ze = ct.ZEvaluator(sp, paths[0])
@@ -327,7 +351,14 @@ class TestEnvironments:
 
 class TestSecondMoment:
     def test_no_disorder(self):
-        assert ct.z_second_moment_series(ALPHA, 0.0, 1.0) == 1.0
+        got = ct.z_second_moment_series(ALPHA, 0.0, 1.0)
+        assert got == 1.0 and isinstance(got, float)
+        got = ct.z_second_moment_series(ALPHA, 0.0, np.full((2, 3), 0.5))
+        assert isinstance(got, np.ndarray) and got.shape == (2, 3)
+        assert np.all(got == 1.0)
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=0.0, M=1024)
+        regen = ct.sample_regen_conditioned(ALPHA, 1.0, 12, stream(15))
+        assert ct.block_variance_sum(sp, regen, 6) == 0.0
 
     def test_k1_term_vs_quadrature(self):
         # int_0^1 psi_1(x)^2 dx with psi_1 = C x^(a-1) (1-x)^(a-1)
@@ -445,6 +476,13 @@ class TestRegenSampler:
             ct.sample_regen_conditioned(0.3, 1.0, 8, stream(0))
         with pytest.raises(ValueError):
             ct.sample_regen_conditioned(0.75, 1.0, 30, stream(0))
+
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_horizon_rejected(self, T):
+        # at T = 0 every interval reaches the cutoff 0 and the active
+        # intervals double on every pass
+        with pytest.raises(ValueError, match="T > 0"):
+            ct.sample_regen_conditioned(ALPHA, T, 8, stream(0))
 
     def test_g_marginal_ks(self, samples):
         # marginal of g_{1/2}: density prop. to x^(a-1) (1/2-x)^(-a) (1-x)^(-1)
@@ -626,7 +664,8 @@ class TestMartingale:
                 delta * (rng.integers(1, M, 4) + 1e-10),    # within 1e-9 cells
                 delta * (M // 3 + np.array([0.1, 0.3])),    # snap to one point
                 [0.5 + 0.3 * delta, 0.5 + 0.9 * delta]])    # across a boundary
-            regen = ct.RegenSample(cs.from_points(pts, resolution=2.0 ** -10))
+            regen = ct.RegenSample(cs.ClosedSetR(np.unique(pts),
+                                                 resolution=2.0 ** -10))
             z0t = oracle(sp, p.increments, 0.0, 1.0)
             for n in range(9):
                 blocks = cs.dyadic_blocks(regen.set, n, 1.0)

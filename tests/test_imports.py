@@ -1,6 +1,7 @@
 """Guards over the sources, by the ast module: no unused import in the
-package or its tests, and no module-level private function or class of the
-package that no module of it references."""
+package or its tests, no module-level private function or class of the
+package that no module of it references, and no public one that only the
+tests read."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,17 @@ import pinning_lab
 
 MODULES = sorted(Path(pinning_lab.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+
+# public names that only the tests read, each with its reason
+ORACLES = {
+    "continuum.chaos_kernel",  # the continuum chaos kernel, an exact oracle
+    "continuum.second_moment_term",  # one series term, checked by quadrature
+    "continuum.cdpm_fdd_density",  # the quenched density, an exact oracle
+    "closed_sets.fm_distance",  # the Fell-Matheron metric, an exact oracle
+    "renewal.two_point_kernel",  # criterion 1's hand-check kernel
+    "closed_sets.box_count_slope",  # criterion 4's dimension estimate
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -57,6 +69,41 @@ def unreferenced_private(sources: dict[str, str]) -> list[str]:
     return sorted(k for k, name in defined.items() if name not in used)
 
 
+def unread_public(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """The module-level public functions, classes and constants of sources,
+    as module.name, that neither a module of sources outside the name's own
+    definition nor a source of readers reads (a bare name or an attribute,
+    in load context)."""
+
+    def loads(tree, skip=None) -> set[str]:
+        inside = {id(n) for n in ast.walk(skip)} if skip else set()
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(tree) if id(n) not in inside
+                and isinstance(n, (ast.Name, ast.Attribute))
+                and isinstance(n.ctx, ast.Load)}
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {module: loads(tree) for module, tree in trees.items()}
+    by_readers = set().union(*(loads(ast.parse(s)) for s in readers))
+    unread = []
+    for module, tree in trees.items():
+        elsewhere = by_readers.union(*(names for other, names in read.items()
+                                       if other != module))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in names
+                       if not name.startswith("_") and name not in elsewhere
+                       and name not in loads(tree, skip=node)]
+    return sorted(unread)
+
+
 @pytest.mark.parametrize(
     "path", MODULES + TESTS,
     ids=lambda p: p.name if p in MODULES else f"tests/{p.name}")
@@ -87,3 +134,25 @@ def test_private_guard_flags_an_unreferenced_name():
               "def _by_attribute():\n    return a._by_attribute()\n"),
     }
     assert unreferenced_private(sources) == ["a._Gone", "a._dead"]
+
+
+def test_no_public_name_only_tests_read():
+    unread = unread_public({p.stem: p.read_text() for p in MODULES},
+                           [p.read_text() for p in PERFBENCH])
+    assert unread == sorted(ORACLES)
+
+
+def test_public_guard_flags_an_unread_name():
+    # a recursive call, a class's own methods and a store read nothing; a
+    # name counts as read in any module outside its definition, or by a
+    # reader
+    sources = {
+        "a": ("LIMIT = 3\nUNREAD = 4\n\ndef used():\n    return LIMIT\n\n"
+              "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+              "class Gone:\n    def copy(self):\n        return Gone()\n\n"
+              "def by_bench():\n    pass\n\n"
+              "def _private():\n    return used()\n"),
+        "b": "import a\na.UNREAD = 5\n",
+    }
+    assert unread_public(sources, ["import a\na.by_bench()\n"]) == [
+        "a.Gone", "a.UNREAD", "a.recursive"]
