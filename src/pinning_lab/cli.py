@@ -204,8 +204,8 @@ def _cmd_experiment(args, seed):
         # JSON has no tuples: a tuple field takes a list; a float field
         # takes an int too; a bool is no number
         kind = type(defaults[key])
-        if type(val) not in {tuple: (list,), float: (int, float)}.get(
-                kind, (kind,)):
+        allowed = {tuple: (list,), float: (int, float)}.get(kind, (kind,))
+        if type(val) not in allowed:
             raise ConfigError(f"config key {key!r} needs a {kind.__name__}, "
                               f"not {val!r}")
         overrides[key] = tuple(val) if kind is tuple else val

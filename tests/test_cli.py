@@ -57,18 +57,18 @@ class TestPlumbing:
         assert code == 1
         assert "unknown config keys ['kernel']" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override", [
-        {"n_ladder": 64}, {"replicas": "3000"}, {"continuum_M": 512.0},
-        {"t1": "0.5"}, {"T": True}, {"pinned_replicas": False},
-        {"disorder": 1}])
-    def test_config_value_of_wrong_type(self, tmp_path, capsys, override):
+    @pytest.mark.parametrize("key, value", [
+        ("n_ladder", 64), ("replicas", "3000"), ("continuum_M", 512.0),
+        ("t1", "0.5"), ("T", True), ("pinned_replicas", False),
+        ("disorder", 1)])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(override))
+        cfg.write_text(json.dumps({key: value}))
         code = cli.run(["--config", str(cfg), "--out", str(tmp_path),
                         "experiment", "convergence"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: config key '{[*override][0]}'")
+        assert err.startswith(f"config error: config key '{key}'")
         assert err.count("\n") == 1
         assert not (tmp_path / "experiment.json").exists()
 
