@@ -367,18 +367,21 @@ def experiment_convergence(config: ConvergenceConfig | None = None,
                            seed: int = 0) -> ExperimentReport:
     """Discrete-to-continuum convergence ladder.
 
-    beta_hat = 0: the sampled pinned g_{t1} at the largest N must pass a KS
-    test against its exact discrete law (the sampler check), and the sup
-    distance from that exact law to the continuum marginal must fall
-    strictly along the N-ladder at the rate N^(alpha-1) (the convergence
-    check). A sampled KS against the continuum marginal cannot gate: the
-    lattice atom at g = t (0.105 at N = 2048) bounds its statistic from
-    below, so it is reported beside the exact distance instead.
+    beta_hat = 0, which needs h_hat = 0: the sampled pinned g_{t1} at the
+    largest N must pass a KS test against its exact discrete law (the
+    sampler check), and the sup distance from that exact law to the
+    continuum marginal must fall strictly along the N-ladder at the rate
+    N^(alpha-1) (the convergence check). A sampled KS against the
+    continuum marginal cannot gate: the lattice atom at g = t (0.105 at
+    N = 2048) bounds its statistic from below, so it is reported beside
+    the exact distance instead.
     beta_hat > 0: KS between Z_N and the continuum Z must be non-increasing
     along the N-ladder, with the N-largest mean and variance matching 1 and
     the second-moment series.
     """
     cfg = config or ConvergenceConfig()
+    if cfg.beta_hat == 0.0 and cfg.h_hat != 0.0:
+        raise ValueError("beta_hat = 0 checks the h = 0 law; need h_hat = 0")
     t0 = time.perf_counter()
     rep = ExperimentReport("convergence", asdict(cfg), seed)
     n_top = cfg.n_ladder[-1]

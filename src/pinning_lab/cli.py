@@ -1,11 +1,14 @@
 """Command-line entry point.
 
 Subcommands dispatch to the samplers and experiments; every run writes a
-JSON report holding every option of its subcommand beside its results,
-plus optional CSV dumps. All randomness flows through (seed, stream_id)
-pairs; reruns with the same config and seed produce byte-identical reports
-(wall-clock time is printed, not stored). Exit codes: 0 all criteria in
-scope pass, 1 usage or config error, 2 criterion failure.
+JSON report holding every option of its subcommand and the thread settings
+in force (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, the CPU count) beside its
+results, plus optional CSV dumps; a report that would hold a NaN or an
+infinity is an error, and then no file is written. All randomness flows
+through (seed, stream_id) pairs; reruns with the same config and seed on
+the same machine produce byte-identical reports (wall-clock time is
+printed, not stored). Exit codes: 0 all criteria in scope pass, 1 usage or
+config error, 2 criterion failure.
 """
 
 from __future__ import annotations
@@ -45,27 +48,14 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve_threads(arg: int | None) -> int:
-    """--threads, else PINNING_LAB_THREADS (unset or empty: 1); ConfigError
-    unless the setting is a positive integer."""
-    env = os.environ.get("PINNING_LAB_THREADS") or "1"
-    raw = env if arg is None else arg
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"threads must be a positive integer, not {raw!r}")
-    return threads
-
-
 def _write_report(out_dir: str, name: str, payload: dict) -> Path:
+    # allow_nan=False: NaN and Infinity are not JSON; raise before any write
+    text = json.dumps(an._py(payload), sort_keys=True, indent=2,
+                      allow_nan=False)
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     f = path / f"{name}.json"
-    with open(f, "w") as fh:
-        json.dump(an._py(payload), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    f.write_text(text + "\n")
     return f
 
 
@@ -87,6 +77,8 @@ def _write_rows(out_dir: str, name: str, header: list[str], rows) -> Path:
 
 
 def _cmd_sample_renewal(args, seed):
+    if args.samples < 1:
+        raise ValueError("sample-renewal needs --samples >= 1")
     kernel = rn.power_law_kernel(args.alpha, args.n)
     rng = stream(seed, 0)
     if args.conditioned:  # the pinned law at zero coupling
@@ -115,9 +107,8 @@ def _cmd_partition(args, seed):
 
 def _cmd_sample_pinning(args, seed):
     kernel = rn.matched_power_kernel(args.alpha, args.N)
-    scale = None
     beta, h = 0.0, 0.0
-    if args.beta_hat > 0:
+    if args.beta_hat or args.h_hat:  # scale_couplings rejects beta_hat <= 0
         scale = dp.scale_couplings(args.beta_hat, args.h_hat, args.N, kernel)
         beta, h = scale.beta_N, scale.h_N
     rng = stream(seed, 0)
@@ -226,7 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--threads", type=int, default=None)
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     s = sub.add_parser("sample-renewal")
@@ -300,28 +290,22 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     t0 = time.perf_counter()
+    settings = {k: v for k, v in vars(args).items()
+                if k not in ("config", "out", "handler")}
+    # the thread settings in force, as far as the process can read them
+    settings["thread_env"] = {k: os.environ.get(k) for k in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    settings["cpu_count"] = os.cpu_count()
     try:
-        threads = _resolve_threads(args.threads)
-        try:
-            from threadpoolctl import threadpool_limits
-        except ImportError:
-            threadpool_limits = None
-        if threadpool_limits is not None:
-            with threadpool_limits(limits=threads):
-                code, payload, dumps = args.handler(args, args.seed)
-        else:
-            code, payload, dumps = args.handler(args, args.seed)
+        code, payload, dumps = args.handler(args, args.seed)
+        report_path = _write_report(args.out, args.subcommand,
+                                    {**settings, **payload})
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except (rn.KernelError, ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    options = {k: v for k, v in vars(args).items()
-               if k not in ("config", "out", "handler")}
-    payload = {**options, "threads": threads,
-               "threads_applied": threadpool_limits is not None, **payload}
-    report_path = _write_report(args.out, args.subcommand, payload)
     for name, header, rows in dumps:
         _write_rows(args.out, name, header, rows)
     print(f"report: {report_path} "

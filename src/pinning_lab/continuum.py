@@ -239,9 +239,9 @@ def z_profile_to(spec: ChaosSpec, path: BrownianPath,
 
 
 class ZEvaluator:
-    """Z(s, t) for a spec and a path of one or R environments; each value
-    has the leading shape of the path. The profiles Z(0, .) and Z(., T),
-    each a (grid times, values) pair, are computed once, on first use."""
+    """The profiles Z(0, .) and Z(., T) for a spec and a path of one or R
+    environments, each a (grid times, values) pair computed once, on first
+    use; each value has the leading shape of the path."""
 
     def __init__(self, spec: ChaosSpec, path: BrownianPath):
         _check_grid(spec, path)
@@ -255,11 +255,6 @@ class ZEvaluator:
     @cached_property
     def to_T(self) -> tuple[np.ndarray, np.ndarray]:
         return z_profile_to(self.spec, self.path, self.spec.T)
-
-    def z(self, s: float, t: float):
-        """Z(s, t) for 0 <= s <= t <= T, ends snapped as in _z_spans."""
-        return z_point_batch(self.spec, self.path.increments.reshape(
-            -1, self.spec.M), s, t).reshape(self.path.w.shape[:-1])[()]
 
     def z0T(self):
         return self.from_0[1][..., -1][()]

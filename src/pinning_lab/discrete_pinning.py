@@ -233,15 +233,15 @@ class PinnedSampler:
     rows as a memoryview of a prefix of its CDF, the cumulative sum of
     those terms times inv[i]: ROW_START entries when a draw first visits i,
     grown ROW_GROWTH-fold, up to N - i, only when a uniform lies past the
-    prefix (row returns the full row). Prefixes are exact prefixes of the
-    full row, whose last entry is 1 up to round-off; when even the full
-    row ends below the uniform, the step goes to N. A step finds the next
-    point as bisect_left on the row would, in tiers (_search): entries 0,
-    7 and 63, then a bisect of one bracket. norm_error is the largest
-    |last entry - 1| over the rows built to full length. underflow is set
-    when some point i < N has w_i V(i) = 0 in floating point; such a point
-    is never visited, and if it is 0 itself, or its full row holds no mass,
-    sample raises FloatingPointError.
+    prefix. Prefixes are exact prefixes of the full row, whose last entry
+    is 1 up to round-off; when even the full row ends below the uniform,
+    the step goes to N. A step finds the next point as bisect_left on the
+    row would, in tiers (_search): entries 0, 7 and 63, then a bisect of
+    one bracket. norm_error is the largest |last entry - 1| over the rows
+    built to full length. underflow is set when some point i < N has
+    w_i V(i) = 0 in floating point; such a point is never visited, and if
+    it is 0 itself, or its full row holds no mass, sample raises
+    FloatingPointError.
 
     sample draws its uniforms from rng in blocks, then rewinds the
     generator, so that it ends exactly as after one scalar rng.random() per
@@ -256,10 +256,6 @@ class PinnedSampler:
     inv: np.ndarray  # 1/V(i) on row i's scale, i = 0..N-1
     underflow: bool
     rows: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def row(self, i: int) -> np.ndarray:
-        """CDF of the next point over j = i+1..N."""
-        return self._view(i, self.N - i).obj
 
     @property
     def norm_error(self) -> float:

@@ -15,9 +15,14 @@ def _run(tmp_path, *argv):
     return cli.run(["--out", str(tmp_path), *argv])
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def _report(tmp_path, name):
+    # NaN, Infinity and -Infinity fail the parse
     with open(tmp_path / f"{name}.json") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_not_json)
 
 
 class TestPlumbing:
@@ -84,29 +89,42 @@ class TestPlumbing:
         rep = _report(tmp_path, "experiment")
         assert rep["config"]["T"] == 1 and rep["config"]["n_ladder"] == [64]
 
-    def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PINNING_LAB_THREADS", "3")
-        assert cli._resolve_threads(None) == 3
-        assert cli._resolve_threads(2) == 2
-        monkeypatch.delenv("PINNING_LAB_THREADS")
-        assert cli._resolve_threads(None) == 1
-        # anything but a positive integer is a config error: exit 1, one
-        # line on stderr, no report
-        for env, argv in (("abc", []), ("0", []), ("2", ["--threads", "0"])):
-            monkeypatch.setenv("PINNING_LAB_THREADS", env)
-            assert _run(tmp_path, *argv, "partition", "--N", "2") == 1
-            err = capsys.readouterr().err
-            assert err.startswith("config error: threads") and err.count("\n") == 1
+    def test_convergence_h_hat_needs_beta_hat(self, tmp_path, capsys):
+        # the beta_hat = 0 checks use the exact h = 0 law
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"beta_hat": 0.0, "h_hat": 0.3}))
+        code = cli.run(["--config", str(cfg), "--out", str(tmp_path),
+                        "experiment", "convergence"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "experiment.json").exists()
+
+    def test_threads_is_usage_error(self, tmp_path, capsys):
+        # no thread option: the report records the settings in force
+        assert _run(tmp_path, "--threads", "2", "partition", "--N", "2") == 1
+        assert capsys.readouterr().err.startswith("usage: pinning-lab")
         assert not (tmp_path / "partition.json").exists()
 
-    def test_threads_not_applied_without_threadpoolctl(self, tmp_path,
-                                                      capsys, monkeypatch):
-        # a None entry in sys.modules makes the import raise ImportError
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        assert _run(tmp_path, "--threads", "2", "partition", "--N", "2") == 0
+    def test_report_records_thread_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert _run(tmp_path, "partition", "--N", "2") == 0
         capsys.readouterr()
         rep = _report(tmp_path, "partition")
-        assert rep["threads"] == 2 and rep["threads_applied"] is False
+        assert rep["thread_env"] == {"OPENBLAS_NUM_THREADS": "1",
+                                     "OMP_NUM_THREADS": None}
+        assert rep["cpu_count"] == os.cpu_count()
+
+    def test_nan_report_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # NaN is not JSON: the run fails before it writes the report or a
+        # CSV
+        monkeypatch.setattr(cli, "_cmd_partition", lambda args, seed: (
+            0, {"Z": float("nan")}, [("rows", ["x"], [(1.0,)])]))
+        assert _run(tmp_path, "partition", "--N", "2") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["sample-renewal", "--n", "200", "--samples", "2"],
@@ -119,14 +137,19 @@ class TestPlumbing:
         ["dirichlet-check", "--chi", "0.5", "--k", "1"]],
         ids=lambda argv: argv[0])
     def test_report_holds_every_option(self, tmp_path, capsys, argv):
-        # each option of the subcommand, defaults included, with its value
+        # each option of the subcommand, defaults included, with its value,
+        # and the thread settings in force
         assert _run(tmp_path, "--seed", "3", *argv) in (0, 2)
         capsys.readouterr()
         rep = _report(tmp_path, argv[0])
         options = {k: v for k, v in vars(
             cli._build_parser().parse_args(["--seed", "3", *argv])).items()
-            if k not in ("config", "out", "handler", "threads")}
+            if k not in ("config", "out", "handler")}
         assert {k: rep[k] for k in options} == options
+        assert rep["thread_env"] == {
+            k: os.environ.get(k)
+            for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        assert rep["cpu_count"] == os.cpu_count()
 
     def test_import_leaves_out_scipy_signal_and_stats(self):
         # scipy.stats alone takes about 0.6 s to import; it is loaded only
@@ -196,6 +219,24 @@ class TestSamplers:
         rep = _report(tmp_path, "sample-pinning")
         assert rep["beta_N"] > 0
         assert (tmp_path / "pinned_points.csv").exists()
+
+    def test_sample_renewal_no_samples(self, tmp_path, capsys):
+        # no sample has no mean: a usage error, not a NaN in the report
+        assert _run(tmp_path, "sample-renewal", "--samples", "0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--h-hat", "5"],
+                                      ["--beta-hat", "-0.5"],
+                                      ["--beta-hat", "-0.5", "--h-hat", "1"]])
+    def test_sample_pinning_needs_positive_beta_hat(self, tmp_path, capsys,
+                                                    argv):
+        # a coupling is scaled only from beta_hat > 0, never dropped
+        assert _run(tmp_path, "sample-pinning", "--N", "64", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_sample_regen(self, tmp_path, capsys):
         code = _run(tmp_path, "sample-regen", "--depth", "6",

@@ -73,30 +73,32 @@ class TestKernel:
 class TestZPoint:
     def test_no_disorder(self, path):
         sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=0.0, M=1024)
-        assert ct.ZEvaluator(sp, path).z(0.0, 1.0) == 1.0
+        assert ct.z_point_batch(sp, path.increments[None], 0.0, 1.0) == 1.0
 
     def test_degenerate_interval(self, spec, path):
-        assert ct.ZEvaluator(spec, path).z(0.5, 0.5) == 1.0
+        assert ct.z_point_batch(spec, path.increments[None], 0.5, 0.5) == 1.0
 
     def test_profiles_match_pointwise(self, spec, path):
         ze = ct.ZEvaluator(spec, path)
         ts, zf = ze.from_0
         ys, zt = ze.to_T
+        inc = path.increments[None]
         for q in (0.25, 0.5, 0.875, 1.0):
             i = np.searchsorted(ts, q)
-            assert zf[i] == pytest.approx(ze.z(0.0, q), abs=1e-12)
+            assert zf[i] == pytest.approx(ct.z_point_batch(spec, inc, 0.0, q),
+                                          abs=1e-12)
         for p in (0.0, 0.25, 0.75):
             i = np.searchsorted(ys, p)
-            assert zt[i] == pytest.approx(ze.z(p, 1.0), abs=1e-12)
+            assert zt[i] == pytest.approx(ct.z_point_batch(spec, inc, p, 1.0),
+                                          abs=1e-12)
 
     def test_batch_matches_scalar(self, spec, path):
         other = ct.sample_brownian(1.0, 1024, stream(56))
         incs = np.vstack([path.increments, other.increments])
         zb = ct.z_point_batch(spec, incs, 0.0, 1.0)
-        assert zb[0] == pytest.approx(ct.ZEvaluator(spec, path).z(0.0, 1.0),
-                                      rel=1e-14)
-        assert zb[1] == pytest.approx(ct.ZEvaluator(spec, other).z(0.0, 1.0),
-                                      rel=1e-14)
+        for z, p in zip(zb, (path, other)):
+            assert z == pytest.approx(ct.z_point_batch(
+                spec, p.increments[None], 0.0, 1.0), rel=1e-14)
 
     @pytest.mark.parametrize("M", [2, 7, 12])
     def test_matches_chaos_oracle(self, M):
@@ -114,7 +116,6 @@ class TestZPoint:
                  *np.sort(rng.uniform(0.0, 1.0, (4, 2)), axis=1)]
         for s, t in spans:
             want = [oracle(sp, p.increments, s, t) for p in paths]
-            assert ze.z(s, t) == pytest.approx(want[0], rel=1e-13)
             np.testing.assert_allclose(ct.z_point_batch(sp, incs, s, t),
                                        want, rtol=1e-13)
         ts, zf = ze.from_0
@@ -145,10 +146,8 @@ class TestZPoint:
 
     @pytest.mark.parametrize("s, t", [(0.7, 0.5), (0.5, 1.2), (-0.2, 0.5)])
     def test_batch_span_rejected(self, spec, path, s, t):
-        for fn in (lambda: ct.ZEvaluator(spec, path).z(s, t),
-                   lambda: ct.z_point_batch(spec, path.increments[None], s, t)):
-            with pytest.raises(ValueError, match="need 0 <= s <= t <= T"):
-                fn()
+        with pytest.raises(ValueError, match="need 0 <= s <= t <= T"):
+            ct.z_point_batch(spec, path.increments[None], s, t)
 
     @pytest.mark.parametrize("fn, end", [
         (ct.z_profile_from, -0.5), (ct.z_profile_from, 1.5),
@@ -205,14 +204,13 @@ class TestZPoint:
         M = 12
         sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=0.5, M=M)
         p = ct.sample_brownian(1.0, M, stream(59))
-        ze = ct.ZEvaluator(sp, p)
+        inc = p.increments[None]
         for s, t in ((0.1234567, 0.13), (0.3, 0.50049), (0.05, 0.7777777)):
-            zb = ct.z_point_batch(sp, p.increments[None], s, t)[0]
-            want = oracle(sp, p.increments, s, t)
-            assert ze.z(s, t) == pytest.approx(want, rel=1e-13)
-            assert zb == pytest.approx(want, rel=1e-13)
+            zb = ct.z_point_batch(sp, inc, s, t)[0]
+            assert zb == pytest.approx(oracle(sp, p.increments, s, t),
+                                       rel=1e-13)
         # both ends rounding to one grid point leave no cells
-        assert ze.z(0.30001, 0.30002) == 1.0
+        assert ct.z_point_batch(sp, inc, 0.30001, 0.30002) == 1.0
 
     def test_moment_mc(self, spec):
         rng = stream(10)
@@ -247,6 +245,7 @@ class TestEnvironments:
         u = stream(65, R).random((R, 3, 50))
         draws = smp.draw(u)
         assert draws.shape == (R, 50, 2) and smp.mass.shape == (R,)
+        z_mid = ct.z_point_batch(sp, many.increments, 0.3, 0.7)
         for r, p in enumerate(paths[:R]):
             one = ct.ZEvaluator(sp, p)
             for prof in ("from_0", "to_T"):
@@ -254,8 +253,8 @@ class TestEnvironments:
                 np.testing.assert_array_equal(ts_r, ts)
                 np.testing.assert_allclose(z_r[r], z, rtol=1e-13)
             assert ze.z0T()[r] == pytest.approx(one.z0T(), rel=1e-13)
-            assert ze.z(0.3, 0.7)[r] == pytest.approx(one.z(0.3, 0.7),
-                                                      rel=1e-13)
+            assert z_mid[r] == pytest.approx(ct.z_point_batch(
+                sp, p.increments[None], 0.3, 0.7), rel=1e-13)
             assert ct.girsanov_tilt(many, 1.0, 0.3)[r] == pytest.approx(
                 ct.girsanov_tilt(p, 1.0, 0.3), rel=1e-15)
             s1 = ct.CdpmFddSampler(one, 0.4, grid=32)
@@ -304,8 +303,8 @@ class TestEnvironments:
         sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, M=256)
         ze = ct.ZEvaluator(sp, paths[0])
         smp = ct.CdpmFddSampler(ze, 0.4, grid=32)
-        for v in (ze.z0T(), ze.z(0.1, 0.9), smp.mass, smp.residual,
-                  smp.clipped, ct.girsanov_tilt(paths[0], 1.0, 0.2)):
+        for v in (ze.z0T(), smp.mass, smp.residual, smp.clipped,
+                  ct.girsanov_tilt(paths[0], 1.0, 0.2)):
             assert isinstance(v, float)
         # sample(n, rng) takes its uniforms as three rng.random(n) calls
         rng = stream(66)

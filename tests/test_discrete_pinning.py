@@ -308,7 +308,7 @@ class TestSampler:
                 pts = [0, *sorted(sites), N]
                 prob = 1.0
                 for i, j in zip(pts[:-1], pts[1:]):
-                    row = np.diff(s.row(i), prepend=0.0)
+                    row = np.diff(s._view(i, s.N - i).obj, prepend=0.0)
                     prob *= row[j - i - 1]
                 assert prob == pytest.approx(p, abs=1e-12)
 
@@ -437,7 +437,7 @@ class TestSamplerStream:
         assert rng.random() == ref.random()
         assert len(s.rows) > 8
         for i, view in list(s.rows.items()):
-            row = s.row(i)
+            row = s._view(i, s.N - i).obj
             assert isinstance(row, np.ndarray) and len(row) == N - i
             np.testing.assert_array_equal(row[:len(view)], view)
             np.testing.assert_allclose(row, _reference_row(s, i), rtol=1e-13)
@@ -480,6 +480,6 @@ class TestSamplerStream:
         s = dp.build_pinned_sampler(kernel, d, beta, 0.0, N)
         assert s.norm_error == 0.0
         for i in range(0, N, 61):
-            s.row(i)
+            s._view(i, s.N - i)
         err = max(abs(s.rows[i][-1] - 1.0) for i in range(0, N, 61))
         assert 0.0 < s.norm_error == err <= 1e-13

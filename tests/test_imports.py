@@ -1,7 +1,7 @@
 """Guards over the sources, by the ast module: no unused import in the
 package or its tests, no module-level private function or class of the
-package that no module of it references, and no public one that only the
-tests read."""
+package that no module of it references, and no public one, nor a public
+method of a public class, that only the tests read."""
 
 import ast
 from pathlib import Path
@@ -69,19 +69,21 @@ def unreferenced_private(sources: dict[str, str]) -> list[str]:
     return sorted(k for k, name in defined.items() if name not in used)
 
 
+def loads(tree: ast.AST, skip: ast.AST | None = None,
+          kinds=(ast.Name, ast.Attribute)) -> set[str]:
+    """The names that tree reads in load context by nodes of the given
+    kinds (a bare name, an attribute), outside the subtree skip."""
+    inside = {id(n) for n in ast.walk(skip)} if skip else set()
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(tree) if id(n) not in inside
+            and isinstance(n, kinds) and isinstance(n.ctx, ast.Load)}
+
+
 def unread_public(sources: dict[str, str], readers: list[str]) -> list[str]:
     """The module-level public functions, classes and constants of sources,
     as module.name, that neither a module of sources outside the name's own
     definition nor a source of readers reads (a bare name or an attribute,
     in load context)."""
-
-    def loads(tree, skip=None) -> set[str]:
-        inside = {id(n) for n in ast.walk(skip)} if skip else set()
-        return {n.id if isinstance(n, ast.Name) else n.attr
-                for n in ast.walk(tree) if id(n) not in inside
-                and isinstance(n, (ast.Name, ast.Attribute))
-                and isinstance(n.ctx, ast.Load)}
-
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = {module: loads(tree) for module, tree in trees.items()}
     by_readers = set().union(*(loads(ast.parse(s)) for s in readers))
@@ -101,6 +103,32 @@ def unread_public(sources: dict[str, str], readers: list[str]) -> list[str]:
             unread += [f"{module}.{name}" for name in names
                        if not name.startswith("_") and name not in elsewhere
                        and name not in loads(tree, skip=node)]
+    return sorted(unread)
+
+
+def unread_methods(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """The public methods and properties of the module-level public classes
+    of sources, as module.Class.name, whose name no attribute in load
+    context reads, neither in sources outside the method's own definition
+    nor in a source of readers. As in unread_public, the match is by name
+    alone: an attribute of that name on any object counts as a read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    attrs = {module: loads(tree, kinds=ast.Attribute)
+             for module, tree in trees.items()}
+    by_readers = set().union(*(loads(ast.parse(s), kinds=ast.Attribute)
+                               for s in readers))
+    unread = []
+    for module, tree in trees.items():
+        elsewhere = by_readers.union(*(names for other, names in attrs.items()
+                                       if other != module))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            unread += [f"{module}.{cls.name}.{fn.name}" for fn in cls.body
+                       if isinstance(fn, ast.FunctionDef)
+                       and not fn.name.startswith("_")
+                       and fn.name not in elsewhere
+                       and fn.name not in loads(tree, fn, ast.Attribute)]
     return sorted(unread)
 
 
@@ -156,3 +184,32 @@ def test_public_guard_flags_an_unread_name():
     }
     assert unread_public(sources, ["import a\na.by_bench()\n"]) == [
         "a.Gone", "a.UNREAD", "a.recursive"]
+
+
+def test_no_public_method_only_tests_read():
+    assert unread_methods({p.stem: p.read_text() for p in MODULES},
+                          [p.read_text() for p in PERFBENCH]) == []
+
+
+def test_method_guard_flags_an_unread_method():
+    # a method counts as read by an attribute anywhere outside its own
+    # definition, in a source or a reader; a recursive call reads nothing,
+    # and private methods and private classes are skipped
+    sources = {
+        "a": ("class Box:\n"
+              "    def unread(self):\n        pass\n\n"
+              "    def by_other(self):\n        return self.by_sibling()\n\n"
+              "    def by_sibling(self):\n        pass\n\n"
+              "    def recursive(self, n):\n"
+              "        return self.recursive(n - 1) if n else 0\n\n"
+              "    def by_reader(self):\n        pass\n\n"
+              "    @property\n    def size(self):\n        return 0\n\n"
+              "    @property\n    def shown(self):\n        return 1\n\n"
+              "    def _private(self):\n        pass\n\n"
+              "class _Hidden:\n    def unread(self):\n        pass\n"),
+        "b": ("import a\n\n"
+              "def use(box):\n    box.unread = 1\n"
+              "    return box.by_other(), box.shown\n"),
+    }
+    assert unread_methods(sources, ["import a\na.Box().by_reader()\n"]) == [
+        "a.Box.recursive", "a.Box.size", "a.Box.unread"]
