@@ -49,9 +49,7 @@ def _load_config(path: str | None) -> dict:
 
 
 def _write_report(out_dir: str, name: str, payload: dict) -> Path:
-    # allow_nan=False: NaN and Infinity are not JSON; raise before any write
-    text = json.dumps(an._py(payload), sort_keys=True, indent=2,
-                      allow_nan=False)
+    text = an.report_json(payload)  # raises on a NaN before any write
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     f = path / f"{name}.json"

@@ -260,6 +260,14 @@ class ZEvaluator:
         return self.from_0[1][..., -1][()]
 
 
+def _positive_z0T(zeval: ZEvaluator):
+    """Z(0, T) on every path of zeval; a value <= 0 raises ValueError."""
+    z0t = zeval.z0T()
+    if np.any(z0t <= 0):
+        raise ValueError("Z(0,T) <= 0: discretization failure")
+    return z0t
+
+
 def _span_products(zeval: ZEvaluator, spans: list) -> np.ndarray:
     """The product of Z(a, b) over the rows (a, b) of spans[r] on path r,
     for every path of zeval at once (one array of at least one row per
@@ -443,9 +451,7 @@ def cdpm_fdd_density(zeval: ZEvaluator, times, xs, ys) -> float:
     disordered pinning law: the reference density reweighted by the product
     of partition functions over the uncovered gaps, normalized by Z(0,T)."""
     spec = zeval.spec
-    z0t = zeval.z0T()
-    if np.any(z0t <= 0):
-        raise ValueError("Z(0,T) <= 0: discretization failure")
+    z0t = _positive_z0T(zeval)
     ref = fdd_density_reference(spec.alpha, spec.T, times, xs, ys)
     if ref == 0.0:
         return 0.0
@@ -525,24 +531,6 @@ def reference_fdd_table(alpha: float, T: float, t1: float, grid: int = 512):
     return _reference_table(alpha, T, t1, grid)[:3]
 
 
-def _interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """np.interp(x, xp, row) for every row of fp (..., len(xp)) at once, by
-    its formula, for x strictly inside the shared increasing grid xp."""
-    j = np.searchsorted(xp, x, side="right") - 1
-    lo, x0 = fp[..., j], xp[j]
-    return (fp[..., j + 1] - lo) / (xp[j + 1] - x0) * (x - x0) + lo
-
-
-def _cdpm_factors(zeval: ZEvaluator, t1: float, grid: int):
-    """The reference table of grid cells a side, and Z(0, x) and Z(y, T) at
-    its cell midpoints on every path, interpolated linearly in the two Z
-    profiles."""
-    spec = zeval.spec
-    tab = _reference_table(spec.alpha, spec.T, t1, grid)
-    return (tab, _interp_rows(tab.xm, *zeval.from_0),
-            _interp_rows(tab.ym, *zeval.to_T))
-
-
 class CdpmFddSampler:
     """Tabulated sampler for (g_t1, d_t1) under the quenched CDPM law, k = 1,
     for every path of zeval at once; the tables, counters and draws carry
@@ -569,15 +557,21 @@ class CdpmFddSampler:
     def __init__(self, zeval: ZEvaluator, t1: float, grid: int = 512):
         if not 0.0 < t1 < zeval.spec.T:
             raise ValueError("need 0 < t1 < T")
+        if grid < 1:
+            raise ValueError("need grid >= 1")
+        z0t = _positive_z0T(zeval)
         self.alpha = zeval.spec.alpha
         self.t1 = t1
-        tab, self.zx, self.zy = _cdpm_factors(zeval, t1, 4 * grid)
+        tab = _reference_table(self.alpha, zeval.spec.T, t1, 4 * grid)
+        # Z at the cell midpoints, one np.interp per path, stored paths
+        # fastest: the sums over cells below add in memory order
+        self.zx, self.zy = (
+            np.stack([np.interp(m, ts, z) for z in zs.reshape(
+                -1, zs.shape[-1])], axis=-1).T.reshape(*zs.shape[:-1], -1)
+            for m, (ts, zs) in ((tab.xm, zeval.from_0), (tab.ym, zeval.to_T)))
         bad = int(np.sum(self.zx <= 0) + np.sum(self.zy <= 0))
         if bad:
             raise ValueError(f"Z <= 0 at {bad} table midpoints")
-        z0t = zeval.z0T()
-        if np.any(z0t <= 0):
-            raise ValueError("Z(0,T) <= 0: discretization failure")
         self.ref, self.xe, self.ye = tab.masses, tab.xe, tab.ye
         # the row masses of every path by one matrix product
         self.row_cdf = np.cumsum(self.zx * (self.ref @ self.zy.T).T, axis=-1)
@@ -636,9 +630,7 @@ def martingale_fn(zeval: ZEvaluator, regen, n: int):
     Singleton blocks, and blocks whose ends snap to the same grid point,
     contribute 1.
     """
-    z0t = zeval.z0T()
-    if np.any(z0t <= 0):
-        raise ValueError("Z(0,T) <= 0: discretization failure")
+    z0t = _positive_z0T(zeval)
     regens = [regen] if isinstance(regen, RegenSample) else regen
     blocks = [dyadic_blocks(r.set, n, zeval.spec.T) for r in regens]
     return _span_products(zeval, blocks) / z0t

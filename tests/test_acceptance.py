@@ -250,7 +250,7 @@ def test_criterion_9_reproducibility(capsys):
         "z-properties": an.ZPropertiesConfig(
             M=256, replicas=200, translation_replicas=150,
             translation_M=128, residual_replicas=2, residual_M=128,
-            residual_grid=64),
+            residual_grid=16),
         "convergence": an.ConvergenceConfig(
             n_ladder=(64, 128), replicas=(200, 150),
             continuum_replicas=200, continuum_M=128, fdd_replicas=35),

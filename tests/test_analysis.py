@@ -139,11 +139,30 @@ class TestExperimentReport:
         d = json.loads(rep.to_json(include_wall_clock=False))
         assert "wall_clock" not in d
 
+    def test_report_json_writes_numpy_as_python(self):
+        text = an.report_json({"i": np.int64(3), "b": np.bool_(True),
+                               "f": np.float64(0.1), "g": np.float32(0.5),
+                               "a": np.arange(3), "t": (np.int32(1), 2.0),
+                               "m": np.eye(2, dtype=bool)})
+        assert json.loads(text) == {"a": [0, 1, 2], "b": True, "f": 0.1,
+                                    "g": 0.5, "i": 3, "t": [1, 2.0],
+                                    "m": [[True, False], [False, True]]}
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.float64(np.inf),
+                                     np.array([0.0, -np.inf])])
+    def test_report_json_refuses_nan(self, bad):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            an.report_json({"x": bad})
+        rep = an.ExperimentReport("demo", {}, 0, estimates={"x": bad})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            rep.to_json()
+
 
 SMALL = {
     "z-properties": an.ZPropertiesConfig(
         M=512, replicas=400, translation_replicas=300, translation_M=256,
-        residual_replicas=2, residual_M=256, residual_grid=128),
+        residual_replicas=2, residual_M=256, residual_grid=32),
     "convergence": an.ConvergenceConfig(
         n_ladder=(64, 128), replicas=(300, 200), continuum_replicas=300,
         continuum_M=256, fdd_replicas=40),
@@ -206,6 +225,31 @@ class TestExperimentsSmall:
         a = fn(cfg, seed=1).tests["scaling_ks"]["stat"]
         b = fn(cfg, seed=2).tests["scaling_ks"]["stat"]
         assert a != b
+
+    def test_renewal_residual_is_the_samplers(self):
+        # residual_grid is a sampler grid: tables of 4 residual_grid and
+        # 8 residual_grid cells a side, over the residual environments
+        cfg = SMALL["z-properties"]
+        rep = an.experiment_z_properties(cfg, seed=4)
+        rng = stream(4, 2)
+        ws = [ct.sample_brownian(1.0, cfg.residual_M, rng).w
+              for _ in range(cfg.residual_replicas)]
+        ze = ct.ZEvaluator(
+            ct.ChaosSpec(alpha=cfg.alpha, beta_hat=0.5, M=cfg.residual_M),
+            ct.BrownianPath(1.0, cfg.residual_M, np.array(ws)))
+        got = rep.tests["renewal_residual"]
+        for key, g in (("coarse", cfg.residual_grid),
+                       ("fine", 2 * cfg.residual_grid)):
+            smp = ct.CdpmFddSampler(ze, cfg.residual_t1, g)
+            assert smp.ref.shape == (4 * g, 4 * g)
+            assert got[key] == float(np.mean(smp.residual))
+
+    def test_ladder_needs_one_replicas_entry_per_rung(self):
+        # zip would drop the last rung and gate on N = 128's moments
+        cfg = an.ConvergenceConfig(n_ladder=(64, 128, 256),
+                                   replicas=(200, 150))
+        with pytest.raises(ValueError, match="one replicas entry per"):
+            an.experiment_convergence(cfg, seed=4)
 
     def test_pinned_reference_branch(self):
         cfg = an.ConvergenceConfig(beta_hat=0.0, n_ladder=(64,),

@@ -100,6 +100,17 @@ class TestPlumbing:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "experiment.json").exists()
 
+    def test_convergence_ladder_lengths_must_match(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n_ladder": [64, 128, 256],
+                                   "replicas": [200, 150]}))
+        code = cli.run(["--config", str(cfg), "--out", str(tmp_path),
+                        "experiment", "convergence"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "experiment.json").exists()
+
     def test_threads_is_usage_error(self, tmp_path, capsys):
         # no thread option: the report records the settings in force
         assert _run(tmp_path, "--threads", "2", "partition", "--N", "2") == 1
@@ -268,6 +279,16 @@ class TestSamplers:
         assert len(lines) == 21
 
 
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_cdpm_fdd_needs_positive_grid(self, tmp_path, capsys, grid):
+        code = _run(tmp_path, "cdpm-fdd", "--M", "64", "--grid", grid,
+                    "--samples", "2")
+        assert code == 1
+        assert capsys.readouterr().err == "error: need grid >= 1\n"
+        assert not (tmp_path / "cdpm-fdd.json").exists()
+        assert not (tmp_path / "cdpm_pairs.csv").exists()
+
+
 class TestChecks:
 
     def test_dirichlet_pass(self, tmp_path, capsys):
@@ -296,7 +317,7 @@ class TestExperimentCommand:
 
     CFG = {"M": 256, "replicas": 200, "translation_replicas": 150,
            "translation_M": 128, "residual_replicas": 2,
-           "residual_M": 128, "residual_grid": 64}
+           "residual_M": 128, "residual_grid": 16}
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

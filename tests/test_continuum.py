@@ -578,6 +578,23 @@ class TestCdpmFdd:
         with pytest.raises(ValueError, match=f"Z <= 0 at {n_bad} table"):
             ct.CdpmFddSampler(ze, 0.4, grid=128)
 
+    def test_nonpositive_z0t_raises_once(self):
+        # at beta_hat = 3 on 16 cells the grid recursion fails on some
+        # environments: Z(0, T) <= 0
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=3.0, M=16)
+        inc = stream(0).standard_normal((200, 16)) / 4
+        bad = inc[np.argmin(ct.z_point_batch(sp, inc, 0.0, 1.0))]
+        ze = ct.ZEvaluator(sp, ct.BrownianPath(
+            1.0, 16, np.concatenate([[0.0], np.cumsum(bad)])))
+        assert ze.z0T() <= 0
+        regen = ct.sample_regen_conditioned(ALPHA, 1.0, 8, stream(1))
+        for call in (lambda: ct.cdpm_fdd_density(ze, [0.4], [0.3], [0.6]),
+                     lambda: ct.CdpmFddSampler(ze, 0.4, grid=8),
+                     lambda: ct.martingale_fn(ze, regen, 3)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "Z(0,T) <= 0: discretization failure"
+
     def test_draws_match_flat_inverse_cdf(self, spec, path):
         ze = ct.ZEvaluator(spec, path)
         smp = ct.CdpmFddSampler(ze, 0.4, grid=64)

@@ -1,7 +1,8 @@
 """Guards over the sources, by the ast module: no unused import in the
 package or its tests, no module-level private function or class of the
-package that no module of it references, and no public one, nor a public
-method of a public class, that only the tests read."""
+package that no module of it references, no public one, nor a public
+method of a public class, that only the tests read, and no module of the
+package that reads another one's private name."""
 
 import ast
 from pathlib import Path
@@ -132,6 +133,37 @@ def unread_methods(sources: dict[str, str], readers: list[str]) -> list[str]:
     return sorted(unread)
 
 
+def private_reads(sources: dict[str, str]) -> list[str]:
+    """The reads of another module's _private name, as "reader: module.name",
+    by a module of sources: an attribute of a name that an import bound to a
+    module of sources, or a from-import out of one. As in the other guards,
+    the match is by name alone: an import binds a module of sources when the
+    last part of its dotted name is one of theirs, and an alias counts
+    wherever its name appears in the reader."""
+    reads = set()
+    for reader, source in sources.items():
+        tree = ast.parse(source)
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                aliases.update((a.asname or a.name, a.name.split(".")[-1])
+                               for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                owner = (node.module or "").split(".")[-1]
+                for a in node.names:
+                    aliases[a.asname or a.name] = a.name
+                    if owner in sources and owner != reader:
+                        reads.add((reader, owner, a.name))
+        reads.update((reader, aliases[n.value.id], n.attr)
+                     for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                     and isinstance(n.value, ast.Name)
+                     and aliases.get(n.value.id) in sources
+                     and aliases[n.value.id] != reader)
+    return sorted(f"{reader}: {module}.{name}"
+                  for reader, module, name in reads
+                  if name.startswith("_") and not name.startswith("__"))
+
+
 @pytest.mark.parametrize(
     "path", MODULES + TESTS,
     ids=lambda p: p.name if p in MODULES else f"tests/{p.name}")
@@ -213,3 +245,20 @@ def test_method_guard_flags_an_unread_method():
     }
     assert unread_methods(sources, ["import a\na.Box().by_reader()\n"]) == [
         "a.Box.recursive", "a.Box.size", "a.Box.unread"]
+
+
+def test_no_module_reads_another_modules_private_name():
+    assert private_reads({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def test_private_read_guard_flags_a_read():
+    # an attribute of an imported module alias, a from-import out of a
+    # module and a module imported whole each read; a module's own private
+    # names, dunders, public names and modules outside sources do not
+    sources = {
+        "a": "import a as me\n\ndef _x():\n    return me._x\n",
+        "b": ("import a\nimport numpy as np\n"
+              "from pkg import a as m\nfrom pkg.a import _y, z\n\n"
+              "m._x(), a._z, m.__name__, m.public, np._private, z._w\n"),
+    }
+    assert private_reads(sources) == ["b: a._x", "b: a._y", "b: a._z"]
