@@ -25,8 +25,14 @@ class ClosedSetR:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
-        if (pts[1:] <= pts[:-1]).any():
+        if pts.ndim != 1:
+            raise ValueError("points must be one-dimensional")
+        # a NaN fails every comparison, so the increase check rejects one
+        # among two or more points, and the end checks a lone NaN
+        if not (pts[1:] > pts[:-1]).all():
             raise ValueError("points must be strictly increasing")
+        if pts.size and not (-np.inf < pts[0] and pts[-1] < np.inf):
+            raise ValueError("points must be finite")
         if not self.resolution > 0:
             raise ValueError("resolution must be positive")
 
@@ -76,6 +82,8 @@ def fm_distance(C1: ClosedSetR, C2: ClosedSetR) -> float:
 
 
 def _check_level(C: ClosedSetR, n: int, T: float) -> None:
+    if not T < np.inf:
+        raise ValueError("T must be finite")
     if T * 2.0 ** (-n) < C.resolution:
         raise ValueError("resolution too coarse for the requested dyadic level")
 
@@ -88,13 +96,21 @@ def _blocks_of(C: ClosedSetR, n: int, T: float):
     _check_level(C, n, T)
     pts = C.points[np.searchsorted(C.points, 0.0):
                    np.searchsorted(C.points, T, side="right")]
-    return pts, np.maximum(np.ceil(pts / (T * 2.0 ** (-n))), 1.0)
+    j = pts / (T * 2.0 ** (-n))
+    np.ceil(j, out=j)
+    # j is 0 only on a leading run: the point 0, and any point so close to
+    # it that its quotient underflows; those belong to the first block
+    k = 0
+    while k < j.size and j[k] == 0.0:
+        j[k] = 1.0
+        k += 1
+    return pts, j
 
 
 def box_count(C: ClosedSetR, n: int, T: float) -> int:
     """Number of level-n dyadic blocks [(j-1)T/2^n, jT/2^n] meeting C."""
     pts, j = _blocks_of(C, n, T)
-    return 0 if pts.size == 0 else 1 + int(np.count_nonzero(np.diff(j)))
+    return 0 if pts.size == 0 else 1 + int(np.count_nonzero(j[1:] != j[:-1]))
 
 
 def dyadic_blocks(C: ClosedSetR, n: int, T: float) -> np.ndarray:
@@ -103,9 +119,13 @@ def dyadic_blocks(C: ClosedSetR, n: int, T: float) -> np.ndarray:
     pts, j = _blocks_of(C, n, T)
     if pts.size == 0 or pts[0] != 0.0 or pts[-1] != T:
         raise ValueError("block decomposition requires 0 and T in the set")
-    starts = np.flatnonzero(np.concatenate([[True], np.diff(j) != 0]))
-    ends = np.concatenate([starts[1:], [len(pts)]])
-    return np.column_stack([pts[starts], pts[ends - 1]])
+    # block r + 1 starts at point c[r], and block r ends just before it
+    c = np.flatnonzero(j[1:] != j[:-1]) + 1
+    out = np.empty((c.size + 1, 2))
+    out[0, 0], out[-1, 1] = pts[0], pts[-1]
+    out[1:, 0] = pts[c]
+    out[:-1, 1] = pts[c - 1]
+    return out
 
 
 def covering_sum(C: ClosedSetR, n: int, exponent: float, T: float) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -219,6 +220,7 @@ def chaos_expansion_exact(kernel: RenewalKernel, rf: RenewalFunction,
 
 ROW_START = 16  # entries in a transition row's first prefix
 ROW_GROWTH = 2  # factor by which a prefix grows when a draw lies past it
+SCALAR_STEPS = 8  # steps that draw a scalar uniform before any block
 
 
 @dataclass(frozen=True)
@@ -229,24 +231,37 @@ class PinnedSampler:
     their Gibbs weight w, the endpoint N does not. mass[m] 2**exp2[m] is
     w_j V(j) at j = N - m, with w_0 = w_N = 1, from one backward solve.
     The transition law from i is P(next = j) = K(j-i) w_j V(j) / V(i), and
-    inv[i] holds 1/V(i) on the scale of row i's entries. A row is kept in
-    rows as a memoryview of a prefix of its CDF, the cumulative sum of
-    those terms times inv[i]: ROW_START entries when a draw first visits i,
-    grown ROW_GROWTH-fold, up to N - i, only when a uniform lies past the
-    prefix. Prefixes are exact prefixes of the full row, whose last entry
-    is 1 up to round-off; when even the full row ends below the uniform,
-    the step goes to N. A step finds the next point as bisect_left on the
-    row would, in tiers (_search): entries 0, 7 and 63, then a bisect of
-    one bracket. norm_error is the largest |last entry - 1| over the rows
-    built to full length. underflow is set when some point i < N has
+    inv[i] holds 1/V(i) on the scale of row i's entries. Row i is the CDF
+    of that law, the cumulative sum of those terms times inv[i]; its
+    entries are exact prefixes of the full row, whose last entry is 1 up
+    to round-off. When even the full row ends below the uniform, the step
+    goes to N.
+
+    table holds the first ROW_START entries of every row in one flat
+    memoryview, built in one vectorized pass on the first sample call.
+    A row that is whole in ROW_START entries (N - i <= ROW_START), or that
+    could raise (inv[i] not finite, or entry ROW_START - 1 not > 0), holds
+    NaN there. A step probes the table row at entries 0, 7 and 15 and
+    bisects the bracket that holds the uniform. Past entry 15, rows[i]
+    grows to ROW_GROWTH * ROW_START entries, and on ROW_GROWTH-fold, up to
+    N - i, until it holds the uniform. A NaN row takes the same path from
+    a ROW_START-entry prefix kept in rows, with a tiered search (_search:
+    entries 0, 7 and 63, then a bisect of one bracket). Either way the
+    step finds the index bisect_left finds on the whole row. rows thus
+    holds, as memoryviews, only the rows outside the table and the rows
+    grown past it. norm_error is the largest |last entry - 1| over the
+    rows built to full length. underflow is set when some point i < N has
     w_i V(i) = 0 in floating point; such a point is never visited, and if
     it is 0 itself, or its full row holds no mass, sample raises
     FloatingPointError.
 
-    sample draws its uniforms from rng in blocks, then rewinds the
-    generator, so that it ends exactly as after one scalar rng.random() per
-    step: len(points) - 1 of them, or, when a row raises, one per step
-    taken before it.
+    A path ends as after one scalar rng.random() per step: len(points) - 1
+    of them, or, when a row raises, one per step taken before it. The
+    first SCALAR_STEPS steps draw their uniforms as scalars, and one of
+    them on a row outside the table builds that row whole first, so that
+    any raise comes before its uniform. A longer path then saves the
+    generator state once, draws blocks of 32, 64, ... uniforms, and
+    rewinds the generator to draw just the ones used.
     """
 
     N: int
@@ -262,6 +277,29 @@ class PinnedSampler:
         """Largest |full-row sum / V(i) - 1| over the rows built so far."""
         return max((abs(v[-1] - 1.0) for i, v in self.rows.items()
                     if len(v) == self.N - i), default=0.0)
+
+    @cached_property
+    def table(self) -> memoryview:
+        """Entries 0..ROW_START-1 of row i at ROW_START i .. ROW_START i + 15,
+        by _view's arithmetic; NaN on the rows kept out (see the class)."""
+        N, n = self.N, ROW_START
+        tab = np.full((N, n), np.nan)
+        long = N - n  # rows 0..N-n-1 are longer than n entries
+        if long > 0:
+            # row i's terms sit at m = N-1-i down to N-i-n, which are the
+            # entries i+1.. of the reversed arrays; the shift of the first
+            # is 0, and np.ldexp by 0 is the identity _view skips
+            win = np.lib.stride_tricks.sliding_window_view
+            ms = win(self.mass[::-1][1:], n)[:long]
+            es = win(self.exp2[::-1][1:], n)[:long]
+            part, inv = tab[:long], self.inv[:long, None]
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.ldexp(ms, es - es[:, :1], out=part)
+                part *= self.k[1:n + 1]
+                np.add.accumulate(part, axis=1, out=part)
+                part *= inv
+            part[~((inv[:, 0] < np.inf) & (part[:, -1] > 0))] = np.nan
+        return memoryview(tab.reshape(-1))
 
     def _view(self, i: int, n: int = ROW_START) -> memoryview:
         """The row from i over its first min(n, N - i) entries, kept."""
@@ -298,29 +336,48 @@ class PinnedSampler:
         return len(view) - 1
 
     def sample(self, rng: np.random.Generator) -> ClosedSetR:
-        N, bg, rows = self.N, rng.bit_generator, self.rows
-        # a path takes at most N steps, one uniform each: they are drawn in
-        # blocks of min(N, 32), 64, 128, ..., and the generator is then
-        # rewound to draw just the n used, also when a row raises
-        start = bg.state
-        us, block, pts, i, n = [], min(N, 32), [0], 0, 0
+        N, rows, tab, last = self.N, self.rows, self.table, ROW_START - 1
+        bg, start, us, block = rng.bit_generator, None, [], 32
+        pts, i, n = [0], 0, 0
         try:
             while i < N:
-                view = rows.get(i)
-                if view is None:
-                    view = self._view(i)
-                if n == len(us):
-                    us += rng.random(block).tolist()
-                    block *= 2
-                j = _search(view, us[n])
-                if j == len(view):
-                    j = self._past(i, us[n])
+                b = i * ROW_START
+                if n < SCALAR_STEPS:
+                    if not tab[b + last] > 0:
+                        self._view(i, N - i)
+                    u = rng.random()
+                else:
+                    if n - SCALAR_STEPS == len(us):
+                        if start is None:
+                            start = bg.state
+                        us += rng.random(block).tolist()
+                        block *= 2
+                    u = us[n - SCALAR_STEPS]
+                if u <= tab[b]:
+                    j = 0
+                elif u <= tab[b + 7]:
+                    j = bisect_left(tab, u, b + 1, b + 7) - b
+                elif u <= tab[b + last]:
+                    j = bisect_left(tab, u, b + 8, b + last) - b
+                elif tab[b + last] < u:
+                    view = self._view(i, ROW_GROWTH * ROW_START)
+                    j = bisect_left(view, u, ROW_START)
+                    if j == len(view):
+                        j = self._past(i, u)
+                else:
+                    view = rows.get(i)
+                    if view is None:
+                        view = self._view(i)
+                    j = _search(view, u)
+                    if j == len(view):
+                        j = self._past(i, u)
                 i += j + 1
                 n += 1
                 pts.append(i)
         finally:
-            bg.state = start
-            rng.random(n)
+            if start is not None:
+                bg.state = start
+                rng.random(n - SCALAR_STEPS)
         return ClosedSetR(np.array(pts, dtype=float), resolution=1.0)
 
 

@@ -14,6 +14,24 @@ finite_sets = st.lists(
 ).map(lambda xs: cs.ClosedSetR(np.unique(xs)))
 
 
+class TestPoints:
+    @pytest.mark.parametrize("pts", [
+        [np.nan, 0.5, 1.0], [0.0, np.nan, 1.0], [0.0, 0.5, np.nan], [np.nan],
+        [0.0, 0.5, np.inf], [-np.inf, 0.0, 0.5], [np.inf], [-np.inf]])
+    def test_non_finite_rejected(self, pts):
+        with pytest.raises(ValueError, match="finite|increasing"):
+            cs.ClosedSetR(pts, resolution=0.01)
+
+    @pytest.mark.parametrize("pts", [np.zeros((2, 2)), [[0.0, 1.0]], 0.5])
+    def test_not_one_dimensional_rejected(self, pts):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            cs.ClosedSetR(pts)
+
+    def test_empty_and_single_valid(self):
+        assert len(cs.ClosedSetR([])) == 0
+        assert len(cs.ClosedSetR([-1e300])) == 1
+
+
 class TestGDMaps:
     def test_interior(self):
         C = cs.ClosedSetR([0.0, 1.0])
@@ -103,6 +121,12 @@ class TestBoxCount:
         j[pts == 0.0] = 1
         assert cs.box_count(C, n, 1.0) == len(np.unique(j))
 
+    def test_infinite_horizon_rejected(self):
+        C = cs.ClosedSetR([0.0, 1.0], resolution=0.25)
+        for T in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                cs.box_count(C, 2, T)
+
     def test_slope_of_full_grid(self):
         C = cs.ClosedSetR(np.arange(2 ** 10 + 1) / 2 ** 10, resolution=2.0 ** -10)
         counts = {n: cs.box_count(C, n, 1.0) for n in range(4, 10)}
@@ -129,6 +153,19 @@ class TestCoveringSum:
     def test_singleton_blocks_contribute_zero(self):
         C = cs.ClosedSetR([0.0, 0.5, 1.0], resolution=2.0 ** -8)
         assert cs.covering_sum(C, 2, 0.5, 1.0) == 0.0
+
+    @given(st.lists(st.one_of(st.floats(0.0, 1.0), st.integers(0, 64).map(
+        lambda k: k / 64)), max_size=40), st.integers(0, 6),
+        st.sampled_from([1.0, 2.5]))
+    def test_blocks_are_extremes_per_block(self, xs, n, T):
+        # points on block boundaries, at 0 and at T, and points that
+        # underflow to block 0 beside 0
+        pts = np.unique(np.r_[0.0, 5e-324, T, np.array(xs) * T])
+        C = cs.ClosedSetR(pts, resolution=2.0 ** -6)
+        j = np.maximum(np.ceil(pts / (T * 2.0 ** -n)), 1.0)
+        expect = [(pts[j == b][0], pts[j == b][-1]) for b in np.unique(j)]
+        np.testing.assert_array_equal(cs.dyadic_blocks(C, n, T), expect)
+        assert cs.box_count(C, n, T) == len(expect)
 
     def test_requires_endpoints(self):
         C = cs.ClosedSetR([0.2, 0.8], resolution=2.0 ** -8)

@@ -312,13 +312,23 @@ class TestSampler:
                     prob *= row[j - i - 1]
                 assert prob == pytest.approx(p, abs=1e-12)
 
-    def test_rows_built_lazily(self, kernel):
+    def test_rows_hold_only_rows_outside_the_table_or_grown(self, kernel):
+        # a table row enters rows only when a uniform lies past its entry
+        # 15, that is on a jump of more than ROW_START; a whole row on
+        # every visit
         N = 512
         d = dp.DisorderField(np.zeros(N - 1), "standard-normal")
         s = dp.build_pinned_sampler(kernel, d, 0.0, 0.0, N)
-        assert not s.rows
-        pts = s.sample(stream(35)).points.astype(int)
-        assert sorted(s.rows) == sorted(pts[:-1])
+        assert not s.rows and "table" not in vars(s)
+        rng, expect = stream(35), set()
+        for _ in range(20):
+            pts = s.sample(rng).points.astype(int)
+            expect |= {i for i, j in zip(pts[:-1], pts[1:])
+                       if N - i <= dp.ROW_START or j - i > dp.ROW_START}
+        assert set(s.rows) == expect
+        assert any(N - i > dp.ROW_START for i in expect)
+        for i, view in s.rows.items():
+            assert min(N - i, dp.ROW_GROWTH * dp.ROW_START) <= len(view) <= N - i
 
     def test_underflow_flag_and_raise(self):
         # every site weight is exp(-800) = 0: the mass from 0 is 0
@@ -353,6 +363,56 @@ def _reference_sample(s, rng):
         pts.append(int(np.searchsorted(_reference_row(s, i), rng.random()))
                    + i + 1)
     return np.array(pts, dtype=float)
+
+
+def _scalar_path(s, rng):
+    # the class's transition rows, normalized by inv, with one scalar
+    # rng.random() per step, drawn once the row is known not to raise
+    pts = [0]
+    while pts[-1] < s.N:
+        i = pts[-1]
+        top = s.N - i - 1
+        cdf = np.cumsum(s.k[1:top + 2] * np.ldexp(s.mass[top::-1],
+                                                  s.exp2[top::-1] - s.exp2[top]))
+        if not (s.inv[i] < np.inf and cdf[-1] > 0):
+            raise FloatingPointError(f"zero backward mass at point {i}")
+        j = int(np.searchsorted(cdf * s.inv[i], rng.random()))
+        pts.append(i + min(j, top) + 1)
+    return np.array(pts, dtype=float)
+
+
+@st.composite
+def _hand_samplers(draw):
+    # kernels weighted to short jumps, so that paths on up to 40 points
+    # run past the scalar steps; masses with zeros and rising exponents;
+    # inv near 1/V(i), some entries inf and some off by a factor
+    N = draw(st.integers(2, 40))
+    val = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-3, 4.0))
+    k = np.r_[0.0, draw(st.lists(val, min_size=N, max_size=N))]
+    k *= 0.5 ** np.arange(N + 1)
+    mass = np.r_[1.0, draw(st.lists(val, min_size=N, max_size=N))]
+    exp2 = np.r_[0, np.cumsum(draw(st.lists(st.integers(0, 3), min_size=N,
+                                             max_size=N)))]
+    inv = np.empty(N)
+    for i in range(N):
+        top = N - i - 1
+        v = np.sum(k[1:top + 2] * np.ldexp(mass[top::-1],
+                                           exp2[top::-1] - exp2[top]))
+        scale = draw(st.sampled_from([1.0, 1.0, 1.0, 0.5, 2.0]))
+        inv[i] = scale / v if v > 0 else np.inf
+    for i in draw(st.lists(st.integers(0, N - 1), max_size=3)):
+        inv[i] = np.inf
+    return {"N": N, "k": k, "mass": mass, "exp2": exp2, "inv": inv,
+            "underflow": bool(np.any(mass[1:] == 0))}
+
+
+def _ladder_case(N, bad):
+    # every step is a jump of 1 until point bad, whose inv is inf
+    inv = np.ones(N)
+    inv[bad] = np.inf
+    return {"N": N, "k": np.r_[0.0, 1.0, np.zeros(N - 1)],
+            "mass": np.ones(N + 1), "exp2": np.zeros(N + 1, dtype=np.int64),
+            "inv": inv, "underflow": False}
 
 
 def _advanced(seed, n):
@@ -467,6 +527,75 @@ class TestSamplerStream:
         np.testing.assert_array_equal(s.sample(rng).points, [0.0, N])
         assert len(s.rows[0]) == N
         assert rng.random() == _advanced(43, 1).random()
+
+    @pytest.mark.parametrize("N, beta, h", [
+        (17, 0.7, 0.3), (64, 0.0, 0.0), (2048, None, 0.0), (256, 0.1, 50.0)])
+    def test_table_is_the_row_prefixes(self, kernel, N, beta, h):
+        # beta None: beta_N at beta_hat = 0.5; at h = 50 the masses are
+        # rescaled, so the table's rows take the exp2 shift
+        d = dp.sample_disorder("standard-normal", N - 1, stream(45, N))
+        if beta is None:
+            beta = dp.scale_couplings(0.5, 0.0, N, kernel).beta_N
+        s = dp.build_pinned_sampler(kernel, d, beta, h, N)
+        assert (s.exp2[-1] > 0) == (h == 50.0)
+        tab = np.asarray(s.table).reshape(N, dp.ROW_START)
+        for i in range(N):
+            if N - i > dp.ROW_START:
+                assert tab[i].tobytes() == np.asarray(s._view(i)).tobytes()
+            else:
+                assert np.isnan(tab[i]).all()
+
+    def test_table_keeps_out_rows_that_could_raise(self):
+        # row 3 has inv = inf, row 9 inv = 0, and row 5 no mass in its
+        # first 16 entries: w_j V(j) = 0 at j = 6..21
+        N = 40
+        k = np.r_[0.0, np.full(N, 0.5)]
+        mass = np.ones(N + 1)
+        mass[N - 21:N - 5] = 0.0  # m = N - j
+        inv = np.full(N, 0.05)
+        inv[3], inv[9] = np.inf, 0.0
+        s = dp.PinnedSampler(N=N, k=k, mass=mass, exp2=np.zeros(N + 1, int),
+                             inv=inv, underflow=True)
+        tab = np.asarray(s.table).reshape(N, dp.ROW_START)
+        out = {i for i in range(N) if np.isnan(tab[i]).all()}
+        assert out == {3, 5, 9} | set(range(N - dp.ROW_START, N))
+        assert not np.isnan(np.delete(tab, sorted(out), axis=0)).any()
+
+    def test_one_shot_samplers_match_scalar_loop(self, kernel):
+        # one build per draw, as convergence and the quenched op use them:
+        # the table is built on the first draw, and paths run past the
+        # scalar steps
+        N = 2048
+        beta = dp.scale_couplings(0.5, 0.0, N, kernel).beta_N
+        rng, ref, steps = stream(46), stream(46), []
+        for r in range(24):
+            d = dp.sample_disorder("standard-normal", N - 1, stream(47, r))
+            s = dp.build_pinned_sampler(kernel, d, beta, 0.0, N)
+            path = s.sample(rng)
+            np.testing.assert_array_equal(path.points,
+                                          _reference_sample(s, ref))
+            assert rng.random() == ref.random()
+            steps.append(len(path) - 1)
+        assert min(steps) > dp.SCALAR_STEPS
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_hand_samplers(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(case=_ladder_case(40, bad=5), seed=0)  # raise at step 5
+    @example(case=_ladder_case(40, bad=20), seed=0)  # after the snapshot
+    def test_stream_contract(self, case, seed):
+        # sample returns the scalar loop's path or raises its error; the
+        # generator then stands where the loop leaves it
+        s = dp.PinnedSampler(**case)
+        rng, ref = stream(seed), stream(seed)
+        for _ in range(3):
+            try:
+                expect = _scalar_path(s, ref)
+            except FloatingPointError as e:
+                with pytest.raises(FloatingPointError, match=str(e)):
+                    s.sample(rng)
+            else:
+                np.testing.assert_array_equal(s.sample(rng).points, expect)
+            assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("N, beta_hat", [
         (2048, 0.0), (2048, 0.5), (4096, 0.0), (4096, 0.5), (8192, 0.0),
