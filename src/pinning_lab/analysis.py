@@ -243,12 +243,12 @@ def dirichlet_integral_check(chi: float, k: int,
 # shared helpers for the experiments
 
 
-def _marginal_cdf_tables(alpha: float, T: float, t1: float, grid: int = 512):
+def _marginal_cdf_tables(alpha: float, T: float, t1: float):
     """CDF grids of the two coordinates of the conditioned k = 1 reference
     law, from the exactly integrated cell-mass table.
 
     Returns (xe, Fx, ye, Fy): edges and cumulative masses, normalized."""
-    m, xe, ye = ct.reference_fdd_table(alpha, T, t1, grid)
+    m, xe, ye = ct.reference_fdd_table(alpha, T, t1)
     mx = m.sum(axis=1)
     my = m.sum(axis=0)
     Fx = np.concatenate([[0.0], np.cumsum(mx)])
@@ -376,6 +376,8 @@ def experiment_convergence(config: ConvergenceConfig | None = None,
     cfg = config or ConvergenceConfig()
     if cfg.beta_hat == 0.0 and cfg.h_hat != 0.0:
         raise ValueError("beta_hat = 0 checks the h = 0 law; need h_hat = 0")
+    if not cfg.n_ladder:
+        raise ValueError("need at least one n_ladder rung")
     if len(cfg.n_ladder) != len(cfg.replicas):
         raise ValueError("need one replicas entry per n_ladder rung")
     t0 = time.perf_counter()
@@ -572,6 +574,10 @@ def experiment_singularity(config: SingularityConfig | None = None,
     beta_hat = 1 and levels (2, 8) the predicted median is about 0.89.
     """
     cfg = config or SingularityConfig()
+    if cfg.martingale_pairs < 2:  # the log ratios' standard error
+        raise ValueError("need martingale_pairs >= 2")
+    if cfg.covering_draws < 1:
+        raise ValueError("need covering_draws >= 1")
     t0 = time.perf_counter()
     rep = ExperimentReport("singularity", asdict(cfg), seed)
 
@@ -676,6 +682,8 @@ def experiment_z_properties(config: ZPropertiesConfig | None = None,
                             seed: int = 0) -> ExperimentReport:
     """Scaling, translation invariance, renewal identity, positivity."""
     cfg = config or ZPropertiesConfig()
+    if cfg.residual_replicas < 1:
+        raise ValueError("need residual_replicas >= 1")
     t0 = time.perf_counter()
     rep = ExperimentReport("z-properties", asdict(cfg), seed)
     a, A = cfg.alpha, cfg.scale_factor

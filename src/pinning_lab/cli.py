@@ -75,8 +75,6 @@ def _write_rows(out_dir: str, name: str, header: list[str], rows) -> Path:
 
 
 def _cmd_sample_renewal(args, seed):
-    if args.samples < 1:
-        raise ValueError("sample-renewal needs --samples >= 1")
     kernel = rn.power_law_kernel(args.alpha, args.n)
     rng = stream(seed, 0)
     if args.conditioned:  # the pinned law at zero coupling
@@ -295,6 +293,8 @@ def run(argv=None) -> int:
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     settings["cpu_count"] = os.cpu_count()
     try:
+        if settings.get("samples", 1) < 1:
+            raise ValueError(f"{args.subcommand} needs --samples >= 1")
         code, payload, dumps = args.handler(args, args.seed)
         report_path = _write_report(args.out, args.subcommand,
                                     {**settings, **payload})

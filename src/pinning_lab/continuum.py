@@ -483,9 +483,10 @@ class _RefTable(NamedTuple):
 
 
 @lru_cache(maxsize=4)
-def _reference_table(alpha: float, T: float, t1: float, grid: int) -> _RefTable:
+def _reference_table(alpha: float, T: float, t1: float,
+                     cells: int) -> _RefTable:
     """Cell masses of C_a x^(a-1) (y-x)^(-1-a) (T-y)^(a-1) over
-    [0, t1] x (t1, T], grid cells a side on grids graded toward the
+    [0, t1] x (t1, T], `cells` cells a side on grids graded toward the
     singular edges: the (y - x) factor by its exact closed-form double
     integral, the boundary power factors by exact single integrals.
 
@@ -493,7 +494,7 @@ def _reference_table(alpha: float, T: float, t1: float, grid: int) -> _RefTable:
     environment is Z(0, xm) masses Z(ym, T), row and column scaled. It is
     built once per argument tuple, and its arrays are read-only.
     """
-    half = grid // 2
+    half = cells // 2
     xe = np.unique(np.concatenate([
         _graded_grid(0.0, t1 / 2, half, "left"),
         _graded_grid(t1 / 2, t1, half, "right")]))
@@ -523,12 +524,12 @@ def _reference_table(alpha: float, T: float, t1: float, grid: int) -> _RefTable:
     return tab
 
 
-def reference_fdd_table(alpha: float, T: float, t1: float, grid: int = 512):
+def reference_fdd_table(alpha: float, T: float, t1: float, cells: int = 512):
     """(masses, xe, ye): cell masses of the conditioned k = 1 reference
-    density on the graded grid, with its edges. The masses sum to a
-    quadrature estimate of 1, and their cumulative sums give the joint CDF
-    of (g_t1, d_t1). The arrays are cached and read-only."""
-    return _reference_table(alpha, T, t1, grid)[:3]
+    density on the graded grid of `cells` cells a side, with its edges.
+    The masses sum to a quadrature estimate of 1, and their cumulative sums
+    give the joint CDF of (g_t1, d_t1). The arrays are cached and read-only."""
+    return _reference_table(alpha, T, t1, cells)[:3]
 
 
 class CdpmFddSampler:

@@ -241,19 +241,15 @@ class PinnedSampler:
     memoryview, built in one vectorized pass on the first sample call.
     A row that is whole in ROW_START entries (N - i <= ROW_START), or that
     could raise (inv[i] not finite, or entry ROW_START - 1 not > 0), holds
-    NaN there. A step probes the table row at entries 0, 7 and 15 and
-    bisects the bracket that holds the uniform. Past entry 15, rows[i]
-    grows to ROW_GROWTH * ROW_START entries, and on ROW_GROWTH-fold, up to
-    N - i, until it holds the uniform. A NaN row takes the same path from
-    a ROW_START-entry prefix kept in rows, with a tiered search (_search:
-    entries 0, 7 and 63, then a bisect of one bracket). Either way the
-    step finds the index bisect_left finds on the whole row. rows thus
-    holds, as memoryviews, only the rows outside the table and the rows
-    grown past it. norm_error is the largest |last entry - 1| over the
-    rows built to full length. underflow is set when some point i < N has
-    w_i V(i) = 0 in floating point; such a point is never visited, and if
-    it is 0 itself, or its full row holds no mass, sample raises
-    FloatingPointError.
+    NaN there and is built whole into rows. A step probes the table row at
+    entries 0, 7 and 15 and bisects the bracket that holds the uniform;
+    past entry 15, rows[i] grows ROW_GROWTH-fold from ROW_START entries
+    until it holds the uniform. A NaN row is bisected whole. Either way
+    the step finds the index bisect_left finds on the whole row.
+    norm_error is the largest |last entry - 1| over the rows built to full
+    length. underflow is set when some point i < N has w_i V(i) = 0 in
+    floating point; such a point is never visited, and if it is 0 itself,
+    or its full row holds no mass, sample raises FloatingPointError.
 
     A path ends as after one scalar rng.random() per step: len(points) - 1
     of them, or, when a row raises, one per step taken before it. The
@@ -301,7 +297,7 @@ class PinnedSampler:
             part[~((inv[:, 0] < np.inf) & (part[:, -1] > 0))] = np.nan
         return memoryview(tab.reshape(-1))
 
-    def _view(self, i: int, n: int = ROW_START) -> memoryview:
+    def _view(self, i: int, n: int) -> memoryview:
         """The row from i over its first min(n, N - i) entries, kept."""
         view = self.rows.get(i)
         n = min(n, self.N - i)
@@ -323,17 +319,18 @@ class PinnedSampler:
         return view
 
     def _past(self, i: int, u: float) -> int:
-        """bisect_left(row, u) for a u past the kept prefix of row i: the
-        prefix grows until it holds u; the last index if the full row ends
-        below u."""
-        view = self.rows[i]
-        while len(view) < self.N - i:
-            lo = len(view)
+        """bisect_left(row, u) for a u past the table's entries of row i:
+        rows[i] grows ROW_GROWTH-fold from ROW_START entries until it holds
+        u; the last index if the full row ends below u."""
+        lo = ROW_START
+        while True:
             view = self._view(i, lo * ROW_GROWTH)
             j = bisect_left(view, u, lo)
             if j < len(view):
                 return j
-        return len(view) - 1
+            if j == self.N - i:
+                return j - 1
+            lo = j
 
     def sample(self, rng: np.random.Generator) -> ClosedSetR:
         N, rows, tab, last = self.N, self.rows, self.table, ROW_START - 1
@@ -360,17 +357,10 @@ class PinnedSampler:
                 elif u <= tab[b + last]:
                     j = bisect_left(tab, u, b + 8, b + last) - b
                 elif tab[b + last] < u:
-                    view = self._view(i, ROW_GROWTH * ROW_START)
-                    j = bisect_left(view, u, ROW_START)
-                    if j == len(view):
-                        j = self._past(i, u)
+                    j = self._past(i, u)
                 else:
-                    view = rows.get(i)
-                    if view is None:
-                        view = self._view(i)
-                    j = _search(view, u)
-                    if j == len(view):
-                        j = self._past(i, u)
+                    view = rows.get(i) or self._view(i, N - i)
+                    j = bisect_left(view, u, 0, len(view) - 1)
                 i += j + 1
                 n += 1
                 pts.append(i)
@@ -379,25 +369,6 @@ class PinnedSampler:
                 bg.state = start
                 rng.random(n - SCALAR_STEPS)
         return ClosedSetR(np.array(pts, dtype=float), resolution=1.0)
-
-
-def _search(cdf, u: float) -> int:
-    """bisect_left(cdf, u) on a non-decreasing row, in tiers: entries 0, 7
-    and 63 first, then a bisect of the first bracket that holds u. Most
-    jumps are short (at beta = 0 and N = 4,096, 50% are 1 and 89% at most
-    8): one probe, or at most five, against 13 for a bisect of the row."""
-    if u <= cdf[0]:
-        return 0
-    m = len(cdf)
-    if m <= 8:
-        return bisect_left(cdf, u, 1)
-    if u <= cdf[7]:
-        return bisect_left(cdf, u, 1, 7)
-    if m <= 64:
-        return bisect_left(cdf, u, 8)
-    if u <= cdf[63]:
-        return bisect_left(cdf, u, 8, 63)
-    return bisect_left(cdf, u, 64)
 
 
 def build_pinned_sampler(kernel: RenewalKernel, disorder: DisorderField,

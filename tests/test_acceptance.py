@@ -116,7 +116,7 @@ def test_criterion_3_renewal_asymptotics(capsys):
 def test_criterion_4_reference_law(capsys):
     t0 = time.perf_counter()
     alpha, T, t1 = 0.75, 1.0, 0.5
-    m, xe, ye = ct.reference_fdd_table(alpha, T, t1, grid=512)
+    m, xe, ye = ct.reference_fdd_table(alpha, T, t1, cells=512)
     total = float(m.sum())
     norm_ok = abs(total - 1.0) <= 1e-4
 

@@ -111,6 +111,25 @@ class TestPlumbing:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "experiment.json").exists()
 
+    @pytest.mark.parametrize("name, overrides, message", [
+        ("convergence", {"n_ladder": [], "replicas": []},
+         "need at least one n_ladder rung"),
+        ("z-properties", {"residual_replicas": 0},
+         "need residual_replicas >= 1"),
+        ("singularity", {"covering_draws": 0}, "need covering_draws >= 1"),
+        ("singularity", {"martingale_pairs": 1},
+         "need martingale_pairs >= 2")])
+    def test_too_small_config_is_an_error(self, tmp_path, capsys, name,
+                                          overrides, message):
+        # refused before any work: no traceback, no NaN report
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(overrides))
+        code = cli.run(["--config", str(cfg), "--out", str(tmp_path),
+                        "experiment", name])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "experiment.json").exists()
+
     def test_threads_is_usage_error(self, tmp_path, capsys):
         # no thread option: the report records the settings in force
         assert _run(tmp_path, "--threads", "2", "partition", "--N", "2") == 1
@@ -231,11 +250,15 @@ class TestSamplers:
         assert rep["beta_N"] > 0
         assert (tmp_path / "pinned_points.csv").exists()
 
-    def test_sample_renewal_no_samples(self, tmp_path, capsys):
-        # no sample has no mean: a usage error, not a NaN in the report
-        assert _run(tmp_path, "sample-renewal", "--samples", "0") == 1
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    @pytest.mark.parametrize("sub", ["sample-renewal", "sample-pinning",
+                                     "sample-regen", "cdpm-fdd"])
+    def test_sample_renewal_no_samples(self, tmp_path, capsys, sub, samples):
+        # every subcommand that draws samples needs at least one: a usage
+        # error, not an empty CSV, a NaN mean or a numpy error
+        assert _run(tmp_path, sub, "--samples", samples) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == f"error: {sub} needs --samples >= 1\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [["--h-hat", "5"],

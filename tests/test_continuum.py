@@ -446,7 +446,7 @@ class TestReferenceDensity:
         assert val == pytest.approx(1.0, rel=1e-9)
 
     def test_conditioned_k1_normalization_table(self):
-        m, _, _ = ct.reference_fdd_table(ALPHA, 1.0, 0.4, grid=512)
+        m, _, _ = ct.reference_fdd_table(ALPHA, 1.0, 0.4, cells=512)
         assert m.sum() == pytest.approx(1.0, abs=1e-4)
 
     def test_off_support_zero(self):
@@ -615,8 +615,8 @@ class TestCdpmFdd:
         assert smp.mass == pytest.approx(cdf[-1], rel=1e-12)
 
     def test_reference_table_cached_read_only(self):
-        a = ct.reference_fdd_table(ALPHA, 1.0, 0.4, grid=128)
-        b = ct.reference_fdd_table(ALPHA, 1.0, 0.4, grid=128)
+        a = ct.reference_fdd_table(ALPHA, 1.0, 0.4, cells=128)
+        b = ct.reference_fdd_table(ALPHA, 1.0, 0.4, cells=128)
         for x, y in zip(a, b):
             assert x is y
             assert not x.flags.writeable

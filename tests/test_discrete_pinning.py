@@ -1,5 +1,4 @@
 import dataclasses
-from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -415,39 +414,22 @@ def _ladder_case(N, bad):
             "inv": inv, "underflow": False}
 
 
+def _zero_prefix_case(N, bad, tail):
+    # every step is a jump of 1 until point bad, whose row of N - bad
+    # entries holds no mass in its first ROW_START; w_j V(j) = tail past them
+    w = np.ones(N + 1)  # w_j V(j) at j = 0..N
+    w[bad + 1:] = 0.0
+    w[bad + 1 + dp.ROW_START:] = tail
+    return {"N": N, "k": np.r_[0.0, np.ones(N)], "mass": w[::-1].copy(),
+            "exp2": np.zeros(N + 1, dtype=np.int64), "inv": np.ones(N),
+            "underflow": True}
+
+
 def _advanced(seed, n):
     rng = stream(seed)
     for _ in range(n):
         rng.random()
     return rng
-
-
-# row entries and uniforms: a coarse grid, so that ties and u equal to an
-# entry are common, or any float in [0, 1]
-_ENTRY = st.one_of(st.integers(0, 16).map(lambda v: v / 16), st.floats(0, 1))
-_LADDER = list(np.linspace(1 / 200, 1, 200))
-
-
-@settings(max_examples=300, deadline=None)
-@given(cdf=st.lists(_ENTRY, min_size=1, max_size=200).map(sorted),
-       u=_ENTRY, pick=st.integers(0, 199), on_entry=st.booleans())
-@example(cdf=_LADDER[:7], u=_LADDER[6], pick=0, on_entry=False)
-@example(cdf=_LADDER[:8], u=_LADDER[7], pick=0, on_entry=False)
-@example(cdf=_LADDER[:9], u=0.0425, pick=0, on_entry=False)
-@example(cdf=_LADDER[:63], u=_LADDER[40], pick=0, on_entry=False)
-@example(cdf=_LADDER[:64], u=_LADDER[63], pick=0, on_entry=False)
-@example(cdf=_LADDER[:65], u=_LADDER[64], pick=0, on_entry=False)
-@example(cdf=_LADDER, u=_LADDER[63], pick=0, on_entry=False)
-@example(cdf=_LADDER, u=0.9999, pick=0, on_entry=False)
-@example(cdf=[0.5] * 65, u=0.5, pick=0, on_entry=False)
-@example(cdf=[0.1] * 9, u=0.2, pick=0, on_entry=False)  # past the last entry
-def test_tiered_search_is_bisect_left(cdf, u, pick, on_entry):
-    # entries 0, 7 and 63 split a row into tiers; rows of 1-200 entries lie
-    # on both sides of 8 and 64
-    if on_entry:
-        u = cdf[pick % len(cdf)]
-    view = memoryview(np.array(cdf))
-    assert dp._search(view, u) == bisect_left(view, u)
 
 
 class TestSamplerStream:
@@ -541,7 +523,8 @@ class TestSamplerStream:
         tab = np.asarray(s.table).reshape(N, dp.ROW_START)
         for i in range(N):
             if N - i > dp.ROW_START:
-                assert tab[i].tobytes() == np.asarray(s._view(i)).tobytes()
+                head = s._view(i, dp.ROW_START)
+                assert tab[i].tobytes() == np.asarray(head).tobytes()
             else:
                 assert np.isnan(tab[i]).all()
 
@@ -582,9 +565,14 @@ class TestSamplerStream:
     @given(case=_hand_samplers(), seed=st.integers(0, 2 ** 32 - 1))
     @example(case=_ladder_case(40, bad=5), seed=0)  # raise at step 5
     @example(case=_ladder_case(40, bad=20), seed=0)  # after the snapshot
+    # past the scalar steps, a row outside the table with mass past its
+    # first ROW_START entries, and one whose full row holds none
+    @example(case=_zero_prefix_case(60, bad=10, tail=1.0), seed=0)
+    @example(case=_zero_prefix_case(60, bad=10, tail=0.0), seed=0)
     def test_stream_contract(self, case, seed):
         # sample returns the scalar loop's path or raises its error; the
-        # generator then stands where the loop leaves it
+        # generator then stands where the loop leaves it, and a row
+        # outside the table enters rows only whole
         s = dp.PinnedSampler(**case)
         rng, ref = stream(seed), stream(seed)
         for _ in range(3):
@@ -596,6 +584,9 @@ class TestSamplerStream:
             else:
                 np.testing.assert_array_equal(s.sample(rng).points, expect)
             assert rng.random() == ref.random()
+        tab = np.asarray(s.table).reshape(s.N, dp.ROW_START)
+        for i, view in s.rows.items():
+            assert len(view) == s.N - i or not np.isnan(tab[i]).any()
 
     @pytest.mark.parametrize("N, beta_hat", [
         (2048, 0.0), (2048, 0.5), (4096, 0.0), (4096, 0.5), (8192, 0.0),
