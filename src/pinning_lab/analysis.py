@@ -16,12 +16,12 @@ reproducible payload.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaincinv, gammaln, kolmogi, kolmogorov
 
 from pinning_lab import closed_sets as cs
@@ -66,6 +66,45 @@ class ExperimentReport:
             # (config, seed); reproducibility comparisons drop it
             d.pop("wall_clock")
         return report_json(d)
+
+
+def _bound(low, default, high=np.inf):
+    """A config field's default with its bound beside it: the value, or each
+    entry of a tuple, which must not be empty, is at least an int low, or
+    lies strictly between a float low and high."""
+    return field(default=default, metadata={"bound": (low, high)})
+
+
+def _check_bounds(cfg) -> None:
+    """Refuse, naming the field, the first value outside its bound."""
+    for f in (f for f in fields(cfg) if "bound" in f.metadata):
+        low, high = f.metadata["bound"]
+        val = getattr(cfg, f.name)
+        vals = val if isinstance(val, tuple) else (val,)
+        ints = isinstance(low, int)
+        need = f">= {low}" if ints else f"in ({low:g}, {high:g})"
+        if not (vals and all(v >= low if ints else low < v < high
+                             for v in vals)):
+            raise ValueError(f"need one or more {f.name} entries, each {need}"
+                             if vals is val else f"need {f.name} {need}")
+
+
+def _experiment(name: str, config_cls):
+    """experiment_*(config=None, seed=0): each config bound checked before
+    any work, then the report built, filled by body(rep, cfg, seed), timed."""
+    def wrap(body):
+        @functools.wraps(body)
+        def run(config=None, seed: int = 0) -> ExperimentReport:
+            cfg = config or config_cls()
+            _check_bounds(cfg)
+            t0 = time.perf_counter()
+            rep = ExperimentReport(name, asdict(cfg), seed)
+            body(rep, cfg, seed)
+            rep.wall_clock = time.perf_counter() - t0
+            return rep
+        run.name, run.config = name, config_cls
+        return run
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +197,7 @@ def _dirichlet_closed_form(chi: float, k: int) -> float:
 
 def _dirichlet_quadrature(chi: float, k: int) -> float:
     """Ordered-simplex integral of the product of gap powers, k <= 2."""
+    from scipy import integrate  # it loads scipy.optimize and sparse.linalg
     if k == 1:
         val, _ = integrate.quad(lambda t: 1.0, 0, 1, weight="alg",
                                 wvar=(-chi, -chi))
@@ -190,6 +230,8 @@ def _dirichlet_qmc(chi: float, k: int, seed: int, log2_n: int = 18) -> float:
 
 def _dirichlet_two_block(chi: float, v: float) -> float:
     """k1 = k2 = 1 variant: 0 < t1 < v < t2 < 1."""
+    from scipy import integrate
+
     def inner(t2):
         val, _ = integrate.quad(lambda t1: (t2 - t1) ** -chi, 0, v,
                                 weight="alg", wvar=(-chi, 0.0))
@@ -256,11 +298,6 @@ def _marginal_cdf_tables(alpha: float, T: float, t1: float):
     return xe, Fx / Fx[-1], ye, Fy / Fy[-1]
 
 
-def _ks_se(n1: int, n2: int) -> float:
-    """Asymptotic scale of two-sample KS statistic fluctuations."""
-    return 0.5 * np.sqrt(1.0 / n1 + 1.0 / n2)
-
-
 def _cdpm_draws(spec: ct.ChaosSpec, t1: float, grid: int, R: int, n: int,
                 rng: np.random.Generator):
     """R environments, each followed in the stream by the 3 n uniforms of its
@@ -287,14 +324,14 @@ class ConvergenceConfig:
     h_hat: float = 0.0
     T: float = 1.0
     t1: float = 0.5
-    n_ladder: tuple = (512, 1024, 2048)
-    replicas: tuple = (3000, 2000, 1500)
-    pinned_replicas: int = 10_000
-    continuum_replicas: int = 4000
-    continuum_M: int = 2048
-    fdd_replicas: int = 250
+    n_ladder: tuple = _bound(2, (512, 1024, 2048))
+    replicas: tuple = _bound(30, (3000, 2000, 1500))
+    pinned_replicas: int = _bound(1, 10_000)
+    continuum_replicas: int = _bound(30, 4000)
+    continuum_M: int = _bound(2, 2048)
+    fdd_replicas: int = _bound(30, 250)
     disorder: str = "standard-normal"
-    ks_threshold: float = 0.001
+    ks_threshold: float = _bound(0.0, 0.001, 1.0)
 
 
 def _ks_p(stat: float, n: int) -> float:
@@ -357,8 +394,8 @@ def _pinned_g_tests(rep: ExperimentReport, cfg: ConvergenceConfig,
     rep.tests["pinned_g_exact_ladder"] = ladder
 
 
-def experiment_convergence(config: ConvergenceConfig | None = None,
-                           seed: int = 0) -> ExperimentReport:
+@_experiment("convergence", ConvergenceConfig)
+def experiment_convergence(rep, cfg, seed):
     """Discrete-to-continuum convergence ladder.
 
     beta_hat = 0, which needs h_hat = 0: the sampled pinned g_{t1} at the
@@ -373,15 +410,10 @@ def experiment_convergence(config: ConvergenceConfig | None = None,
     along the N-ladder, with the N-largest mean and variance matching 1 and
     the second-moment series.
     """
-    cfg = config or ConvergenceConfig()
     if cfg.beta_hat == 0.0 and cfg.h_hat != 0.0:
         raise ValueError("beta_hat = 0 checks the h = 0 law; need h_hat = 0")
-    if not cfg.n_ladder:
-        raise ValueError("need at least one n_ladder rung")
     if len(cfg.n_ladder) != len(cfg.replicas):
         raise ValueError("need one replicas entry per n_ladder rung")
-    t0 = time.perf_counter()
-    rep = ExperimentReport("convergence", asdict(cfg), seed)
     n_top = cfg.n_ladder[-1]
     # the matched kernel removes the O(N^(alpha-1)) slowly varying
     # corrections of a generic kernel's renewal function, which otherwise
@@ -404,15 +436,14 @@ def experiment_convergence(config: ConvergenceConfig | None = None,
         rep.estimates["pinned_underflows"] = int(sampler.underflow)
         rep.estimates["pinned_norm_error"] = sampler.norm_error
         _pinned_g_tests(rep, cfg, rf, gs)
-        rep.wall_clock = time.perf_counter() - t0
-        return rep
+        return
 
     # continuum target sample
+    spec = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=cfg.beta_hat,
+                        h_hat=cfg.h_hat, T=cfg.T, M=cfg.continuum_M)
     rng_c = stream(seed, 1)
     inc = rng_c.standard_normal((cfg.continuum_replicas, cfg.continuum_M)) \
         * np.sqrt(cfg.T / cfg.continuum_M)
-    spec = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=cfg.beta_hat,
-                        h_hat=cfg.h_hat, T=cfg.T, M=cfg.continuum_M)
     z_cont = ct.z_point_batch(spec, inc, 0.0, spec.T)
 
     ladder = []
@@ -426,8 +457,10 @@ def experiment_convergence(config: ConvergenceConfig | None = None,
         ladder.append({"N": N, "ks": stat, "p": p,
                        "mean": float(zn.mean()), "var": float(zn.var())})
     rep.tests["ladder"] = ladder
-    slack = 2.0 * max(_ks_se(R, cfg.continuum_replicas)
-                      for R in cfg.replicas)
+    # two asymptotic standard errors of a rung's KS statistic, each
+    # 0.5 sqrt(1/n1 + 1/n2)
+    slack = max(np.sqrt(1.0 / R + 1.0 / cfg.continuum_replicas)
+                for R in cfg.replicas)
     ks_vals = [row["ks"] for row in ladder]
     rep.verdicts["ks_non_increasing"] = all(
         ks_vals[i + 1] <= ks_vals[i] + slack for i in range(len(ks_vals) - 1))
@@ -443,34 +476,28 @@ def experiment_convergence(config: ConvergenceConfig | None = None,
     rep.verdicts["var_matches"] = abs(zn_top["var"] - var_target) < 3 * se_var
 
     # measure convergence: averaged (g, d) laws at the largest N
-    if cfg.fdd_replicas > 0:
-        rng_f = stream(seed, 20)
-        scale = dp.scale_couplings(cfg.beta_hat, cfg.h_hat, n_top, kernel)
-        g_d = np.empty(cfg.fdd_replicas)
-        d_d = np.empty(cfg.fdd_replicas)
-        rep.estimates["pinned_underflows"] = 0
-        rep.estimates["pinned_norm_error"] = 0.0
-        for i in range(cfg.fdd_replicas):
-            dis = dp.sample_disorder(cfg.disorder, n_top - 1, rng_f)
-            smp = dp.build_pinned_sampler(kernel, dis, scale.beta_N,
-                                          scale.h_N, n_top)
-            rep.estimates["pinned_underflows"] += smp.underflow
-            tau = smp.sample(rng_f)
-            rep.estimates["pinned_norm_error"] = max(
-                rep.estimates["pinned_norm_error"], smp.norm_error)
-            g_d[i] = cs.g_map(tau, cfg.t1 * n_top) / n_top
-            d_d[i] = cs.d_map(tau, cfg.t1 * n_top) / n_top
-        spec_f = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=cfg.beta_hat,
-                              h_hat=cfg.h_hat, T=cfg.T, M=512)
-        *_, pairs = _cdpm_draws(spec_f, cfg.t1, 128, cfg.fdd_replicas, 1,
-                                rng_f)
-        g_c, d_c = pairs[:, 0].T
-        for name, a, b in (("fdd_g_ks", g_d, g_c), ("fdd_d_ks", d_d, d_c)):
-            stat, p = ks_two_sample(a, b)
-            rep.tests[name] = {"stat": stat, "p": p}
-            rep.verdicts[name] = p > cfg.ks_threshold
-    rep.wall_clock = time.perf_counter() - t0
-    return rep
+    rng_f = stream(seed, 20)
+    scale = dp.scale_couplings(cfg.beta_hat, cfg.h_hat, n_top, kernel)
+    g_d, d_d = np.empty((2, cfg.fdd_replicas))
+    rep.estimates.update(pinned_underflows=0, pinned_norm_error=0.0)
+    for i in range(cfg.fdd_replicas):
+        dis = dp.sample_disorder(cfg.disorder, n_top - 1, rng_f)
+        smp = dp.build_pinned_sampler(kernel, dis, scale.beta_N, scale.h_N,
+                                      n_top)
+        rep.estimates["pinned_underflows"] += smp.underflow
+        tau = smp.sample(rng_f)
+        rep.estimates["pinned_norm_error"] = max(
+            rep.estimates["pinned_norm_error"], smp.norm_error)
+        g_d[i] = cs.g_map(tau, cfg.t1 * n_top) / n_top
+        d_d[i] = cs.d_map(tau, cfg.t1 * n_top) / n_top
+    spec_f = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=cfg.beta_hat,
+                          h_hat=cfg.h_hat, T=cfg.T, M=512)
+    *_, pairs = _cdpm_draws(spec_f, cfg.t1, 128, cfg.fdd_replicas, 1, rng_f)
+    g_c, d_c = pairs[:, 0].T
+    for name, a, b in (("fdd_g_ks", g_d, g_c), ("fdd_d_ks", d_d, d_c)):
+        stat, p = ks_two_sample(a, b)
+        rep.tests[name] = {"stat": stat, "p": p}
+        rep.verdicts[name] = p > cfg.ks_threshold
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +511,16 @@ class AveragedConfig:
     h_hat: float = 0.0
     T: float = 1.0
     t1: float = 0.4
-    M: int = 512
-    w_replicas: int = 2000
-    draws: int = 16
-    grid: int = 128
-    n_boot: int = 200
-    ks_threshold: float = 0.001
+    M: int = _bound(2, 512)
+    w_replicas: int = _bound(2, 2000)
+    draws: int = _bound(1, 16)
+    grid: int = _bound(1, 128)
+    n_boot: int = _bound(1, 200)
+    ks_threshold: float = _bound(0.0, 0.001, 1.0)
 
 
-def experiment_averaged_abs_continuity(config: AveragedConfig | None = None,
-                                       seed: int = 0) -> ExperimentReport:
+@_experiment("averaged-abs-continuity", AveragedConfig)
+def experiment_averaged_abs_continuity(rep, cfg, seed):
     """Importance-weighted continuum (g, d) law vs the reference law.
 
     Each disorder replica contributes draws from its quenched sampler with
@@ -508,9 +535,6 @@ def experiment_averaged_abs_continuity(config: AveragedConfig | None = None,
     The report carries the largest renewal-identity residual and the largest
     clipped mass of any one table (CdpmFddSampler's health counters), and
     the residual's disorder-free floor, |sum of the reference masses - 1|."""
-    cfg = config or AveragedConfig()
-    t0 = time.perf_counter()
-    rep = ExperimentReport("averaged-abs-continuity", asdict(cfg), seed)
     spec = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=cfg.beta_hat,
                         h_hat=cfg.h_hat, T=cfg.T, M=cfg.M)
     sampler, ze, path, pairs = _cdpm_draws(spec, cfg.t1, cfg.grid,
@@ -538,8 +562,6 @@ def experiment_averaged_abs_continuity(config: AveragedConfig | None = None,
     se_w = w.std() / np.sqrt(len(w))
     rep.estimates["mean_weight"] = float(w.mean())
     rep.verdicts["mean_weight_one"] = abs(w.mean() - 1.0) < 3 * se_w
-    rep.wall_clock = time.perf_counter() - t0
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +572,20 @@ def experiment_averaged_abs_continuity(config: AveragedConfig | None = None,
 class SingularityConfig:
     alpha: float = 0.75
     gamma: float = 0.4
-    beta_ladder: tuple = (0.1, 0.2, 0.4)
-    replicas: int = 10_000
-    M: int = 1024
+    beta_ladder: tuple = _bound(0.0, (0.1, 0.2, 0.4))
+    replicas: int = _bound(2, 10_000)
+    M: int = _bound(2, 1024)
     martingale_beta: float = 1.0
-    martingale_pairs: int = 300
-    martingale_M: int = 2048
-    levels: tuple = (2, 8)
-    covering_draws: int = 400
-    covering_levels: tuple = tuple(range(6, 15))
-    regen_depth: int = 18
+    martingale_pairs: int = _bound(2, 300)  # the log ratios' standard error
+    martingale_M: int = _bound(2, 2048)
+    levels: tuple = _bound(1, (2, 8))
+    covering_draws: int = _bound(1, 400)
+    covering_levels: tuple = _bound(1, tuple(range(6, 15)))
+    regen_depth: int = _bound(1, 18)
 
 
-def experiment_singularity(config: SingularityConfig | None = None,
-                           seed: int = 0) -> ExperimentReport:
+@_experiment("singularity", SingularityConfig)
+def experiment_singularity(rep, cfg, seed):
     """Fractional moments, martingale decay, and covering-sum growth.
 
     Martingale decay: log(f_hi / f_lo) over (set, environment) pairs must
@@ -573,13 +595,8 @@ def experiment_singularity(config: SingularityConfig | None = None,
     No fixed threshold on the median is derived from the theory: at
     beta_hat = 1 and levels (2, 8) the predicted median is about 0.89.
     """
-    cfg = config or SingularityConfig()
-    if cfg.martingale_pairs < 2:  # the log ratios' standard error
-        raise ValueError("need martingale_pairs >= 2")
-    if cfg.covering_draws < 1:
-        raise ValueError("need covering_draws >= 1")
-    t0 = time.perf_counter()
-    rep = ExperimentReport("singularity", asdict(cfg), seed)
+    if cfg.regen_depth < max(cfg.covering_levels):
+        raise ValueError("need regen_depth >= the largest covering_levels")
 
     # (a) fractional moments over the beta ladder, common random numbers
     rng = stream(seed, 0)
@@ -653,8 +670,6 @@ def experiment_singularity(config: SingularityConfig | None = None,
     rep.tests["covering_sums"] = {"levels": list(cfg.covering_levels),
                                   "medians": med_sums}
     rep.verdicts["covering_increasing"] = bool(np.all(np.diff(med_sums) > 0))
-    rep.wall_clock = time.perf_counter() - t0
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -667,25 +682,20 @@ class ZPropertiesConfig:
     beta_hat: float = 1.0
     scaling_beta: float = 0.7
     scale_factor: float = 2.0
-    M: int = 4096
-    replicas: int = 4000
-    translation_replicas: int = 2000
-    translation_M: int = 1024
-    residual_replicas: int = 6
-    residual_M: int = 1024
-    residual_grid: int = 64
+    M: int = _bound(2, 4096)
+    replicas: int = _bound(1, 4000)
+    translation_replicas: int = _bound(30, 2000)
+    translation_M: int = _bound(2, 1024)
+    residual_replicas: int = _bound(1, 6)
+    residual_M: int = _bound(2, 1024)
+    residual_grid: int = _bound(1, 64)
     residual_t1: float = 0.4
-    ks_threshold: float = 0.01
+    ks_threshold: float = _bound(0.0, 0.01, 1.0)
 
 
-def experiment_z_properties(config: ZPropertiesConfig | None = None,
-                            seed: int = 0) -> ExperimentReport:
+@_experiment("z-properties", ZPropertiesConfig)
+def experiment_z_properties(rep, cfg, seed):
     """Scaling, translation invariance, renewal identity, positivity."""
-    cfg = config or ZPropertiesConfig()
-    if cfg.residual_replicas < 1:
-        raise ValueError("need residual_replicas >= 1")
-    t0 = time.perf_counter()
-    rep = ExperimentReport("z-properties", asdict(cfg), seed)
     a, A = cfg.alpha, cfg.scale_factor
 
     # scaling: algebraic identity on the second-moment series
@@ -697,8 +707,7 @@ def experiment_z_properties(config: ZPropertiesConfig | None = None,
 
     # scaling: distributional check at horizon A vs rescaled couplings
     rng = stream(seed, 0)
-    R = cfg.translation_replicas
-    M = cfg.translation_M
+    R, M = cfg.translation_replicas, cfg.translation_M
     inc_long = rng.standard_normal((R, M)) * np.sqrt(A / M)
     spec_long = ct.ChaosSpec(alpha=a, beta_hat=cfg.scaling_beta, T=A, M=M)
     z_long = ct.z_point_batch(spec_long, inc_long, 0.0, spec_long.T)
@@ -747,14 +756,8 @@ def experiment_z_properties(config: ZPropertiesConfig | None = None,
     rep.tests["positivity"] = {"failure_rate": fail_rate,
                                "min_z": float(z.min())}
     rep.verdicts["positivity"] = fail_rate < 1e-3
-    rep.wall_clock = time.perf_counter() - t0
-    return rep
 
 
-EXPERIMENTS = {
-    "convergence": (ConvergenceConfig, experiment_convergence),
-    "averaged-abs-continuity": (AveragedConfig,
-                                experiment_averaged_abs_continuity),
-    "singularity": (SingularityConfig, experiment_singularity),
-    "z-properties": (ZPropertiesConfig, experiment_z_properties),
-}
+EXPERIMENTS = {fn.name: (fn.config, fn) for fn in (
+    experiment_convergence, experiment_averaged_abs_continuity,
+    experiment_singularity, experiment_z_properties)}

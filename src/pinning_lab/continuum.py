@@ -300,6 +300,8 @@ def z_second_moment_series(alpha: float, beta_hat: float, T,
     """
     if not 0.5 < alpha < 1:
         raise ValueError("series valid for alpha in (1/2, 1)")
+    if beta_hat < 0 or np.any(np.asarray(T) <= 0):
+        raise ValueError("series needs beta_hat >= 0 and T > 0")
     if beta_hat == 0.0:
         return 1.0 if np.ndim(T) == 0 else np.ones(np.shape(T))
     chi = 2.0 * alpha - 1.0
@@ -421,8 +423,8 @@ def sample_regen_conditioned(alpha: float, T: float, n_max: int,
     if not T > 0:
         # at T = 0 no interval falls below the cutoff 0: it never ends
         raise ValueError("need T > 0")
-    if n_max > 24:
-        raise ValueError("n_max capped at 24")
+    if not 0 <= n_max <= 24:
+        raise ValueError("need 0 <= n_max <= 24")
     cutoff = T * 2.0 ** (-n_max)
     pts = [np.array([0.0, T])]
     lo = np.array([0.0])

@@ -122,6 +122,8 @@ def matched_power_kernel(alpha: float, n_max: int,
         raise KernelError("matched kernel requires alpha in (0, 1)")
     if not 0.0 < c < 1.0:
         raise KernelError("need 0 < c < 1 so that K(1) = c is a probability")
+    if n_max < 1:
+        raise KernelError("n_max must be at least 1")
     u = np.r_[1.0, c * np.arange(1, n_max + 1, dtype=float) ** (alpha - 1.0)]
     x, e = renewal_solve_batch(-u, u[1:], np.ones((n_max, 1)))
     k = np.r_[0.0, np.ldexp(x, e)[:, 0]]

@@ -1,6 +1,7 @@
 """Tests for the statistical checks and experiment drivers."""
 
 import json
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -172,6 +173,32 @@ SMALL = {
         replicas=400, M=256, martingale_pairs=4, martingale_M=256,
         covering_draws=40, covering_levels=(5, 6, 7), regen_depth=10),
 }
+
+
+def unbounded(cfg_cls) -> list[str]:
+    """The int and tuple fields of a config class that declare no bound."""
+    return [f.name for f in fields(cfg_cls)
+            if isinstance(f.default, (int, tuple)) and "bound" not in f.metadata]
+
+
+def test_every_count_and_tuple_declares_a_bound():
+    # the runner checks only declared bounds: an undeclared one is a count
+    # or a ladder whose too-small values reach the experiment's work
+    assert {name: unbounded(cfg_cls)
+            for name, (cfg_cls, _) in an.EXPERIMENTS.items()} == {
+        name: [] for name in an.EXPERIMENTS}
+
+
+def test_bound_guard_flags_an_undeclared_bound():
+    @dataclass(frozen=True)
+    class Demo:
+        x: float = 0.5
+        n: int = an._bound(1, 4)
+        m: int = 3
+        ladder: tuple = (1, 2)
+        name: str = "a"
+
+    assert unbounded(Demo) == ["m", "ladder"]
 
 
 class TestExperimentsSmall:

@@ -1,13 +1,16 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import pinning_lab.analysis as an
 import pinning_lab.cli as cli
 
 
@@ -17,6 +20,26 @@ def _run(tmp_path, *argv):
 
 def _not_json(constant):
     raise ValueError(f"{constant} is not JSON")
+
+
+def _too_small():
+    """(experiment, field, value) below each declared config bound: an int
+    at its bound - 1; a tuple empty, and with its first entry at the bound
+    - 1 (at the bound for a float); a float at each end of its interval."""
+    for name, (cfg_cls, _) in an.EXPERIMENTS.items():
+        for f in dataclasses.fields(cfg_cls):
+            if "bound" not in f.metadata:
+                continue
+            low, high = f.metadata["bound"]
+            below = low - 1 if isinstance(low, int) else low
+            if isinstance(f.default, tuple):
+                values = [([], "[]"), ([below, *f.default[1:]],
+                                       f"[{below}, ...]")]
+            else:
+                values = [(v, v) for v in (below, high) if v < float("inf")]
+            for v, shown in values:
+                yield pytest.param(name, f.name, v,
+                                   id=f"{name}-{f.name}={shown}")
 
 
 def _report(tmp_path, name):
@@ -111,24 +134,48 @@ class TestPlumbing:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "experiment.json").exists()
 
-    @pytest.mark.parametrize("name, overrides, message", [
-        ("convergence", {"n_ladder": [], "replicas": []},
-         "need at least one n_ladder rung"),
-        ("z-properties", {"residual_replicas": 0},
-         "need residual_replicas >= 1"),
-        ("singularity", {"covering_draws": 0}, "need covering_draws >= 1"),
-        ("singularity", {"martingale_pairs": 1},
-         "need martingale_pairs >= 2")])
-    def test_too_small_config_is_an_error(self, tmp_path, capsys, name,
-                                          overrides, message):
-        # refused before any work: no traceback, no NaN report
+    @pytest.mark.parametrize("name, key, value", list(_too_small()))
+    def test_too_small_config_is_an_error(self, tmp_path, capsys, monkeypatch,
+                                          name, key, value):
+        # refused before any work: no traceback, no NaN report, and none of
+        # the calls that start an experiment is made
+        def work(*args, **kwargs):
+            raise AssertionError("experiment work before the config check")
+
+        monkeypatch.setattr(an, "stream", work)
+        monkeypatch.setattr(an.rn, "matched_power_kernel", work)
+        monkeypatch.setattr(an.ct, "ChaosSpec", work)
+        monkeypatch.setattr(an.ct, "z_second_moment_series", work)
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(overrides))
+        cfg.write_text(json.dumps({key: value}))
         code = cli.run(["--config", str(cfg), "--out", str(tmp_path),
                         "experiment", name])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        err = capsys.readouterr().err
+        assert err.startswith("error: need ") and err.count("\n") == 1
+        assert re.search(rf"\b{key}\b", err)
         assert not (tmp_path / "experiment.json").exists()
+
+    def test_config_refusal_texts(self, tmp_path, capsys):
+        for name, overrides, message in [
+                ("z-properties", {"residual_replicas": 0},
+                 "need residual_replicas >= 1"),
+                ("singularity", {"covering_draws": 0},
+                 "need covering_draws >= 1"),
+                ("singularity", {"martingale_pairs": 1},
+                 "need martingale_pairs >= 2"),
+                ("convergence", {"ks_threshold": 1},
+                 "need ks_threshold in (0, 1)"),
+                ("convergence", {"n_ladder": [], "replicas": []},
+                 "need one or more n_ladder entries, each >= 2"),
+                ("singularity", {"regen_depth": 13},
+                 "need regen_depth >= the largest covering_levels")]:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(overrides))
+            code = cli.run(["--config", str(cfg), "--out", str(tmp_path),
+                            "experiment", name])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_threads_is_usage_error(self, tmp_path, capsys):
         # no thread option: the report records the settings in force
@@ -181,14 +228,16 @@ class TestPlumbing:
             for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         assert rep["cpu_count"] == os.cpu_count()
 
-    def test_import_leaves_out_scipy_signal_and_stats(self):
-        # scipy.stats alone takes about 0.6 s to import; it is loaded only
+    def test_import_leaves_out_scipy_signal_stats_and_integrate(self):
+        # scipy.stats alone takes about 0.6 s to import, and scipy.integrate
+        # loads scipy.optimize and scipy.sparse.linalg; each is loaded only
         # by the calls that need it
         src = str(Path(cli.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")])}
         code = ("import sys, pinning_lab.cli; print(sorted(m for m in "
-                "('scipy.signal', 'scipy.stats') if m in sys.modules))")
+                "('scipy.signal', 'scipy.stats', 'scipy.integrate') "
+                "if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
@@ -268,6 +317,17 @@ class TestSamplers:
                                                     argv):
         # a coupling is scaled only from beta_hat > 0, never dropped
         assert _run(tmp_path, "sample-pinning", "--N", "64", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["sample-pinning", "--N", "0"],
+                                      ["sample-regen", "--depth", "-2"]],
+                             ids=lambda argv: argv[0])
+    def test_size_that_means_nothing_is_an_error(self, tmp_path, capsys,
+                                                 argv):
+        # an empty lattice, a set resolved coarser than its horizon
+        assert _run(tmp_path, *argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []

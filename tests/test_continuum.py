@@ -413,6 +413,15 @@ class TestSecondMoment:
         with pytest.raises(ValueError):
             ct.z_second_moment_series(ALPHA, 6.0, 1.0, k_max=2)
 
+    @pytest.mark.parametrize("b, T", [(-0.5, 1.0), (0.7, 0.0), (0.7, -0.5),
+                                      (0.0, 0.0),
+                                      (0.7, np.array([0.5, 0.0]))])
+    def test_negative_coupling_or_horizon_refused(self, b, T):
+        # refused before a log of them: no numpy warning, no misleading
+        # "not yet decreasing"
+        with pytest.raises(ValueError, match="beta_hat >= 0 and T > 0"):
+            ct.z_second_moment_series(ALPHA, b, T)
+
     def test_lgamma_table_built_once(self):
         ct._lgamma_table.cache_clear()
         first = ct.z_second_moment_series(ALPHA, 0.7, 0.5)
