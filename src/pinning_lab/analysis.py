@@ -68,25 +68,33 @@ class ExperimentReport:
         return report_json(d)
 
 
-def _bound(low, default, high=np.inf):
+def _bound(low, default, high=np.inf, closed=False):
     """A config field's default with its bound beside it: the value, or each
-    entry of a tuple, which must not be empty, is at least an int low, or
-    lies strictly between a float low and high."""
-    return field(default=default, metadata={"bound": (low, high)})
+    entry of a tuple, which must not be empty, is at least low (an int low,
+    or closed), or lies strictly between a float low and high."""
+    return field(default=default, metadata={
+        "bound": (low, high, closed or isinstance(low, int))})
 
 
 def _check_bounds(cfg) -> None:
     """Refuse, naming the field, the first value outside its bound."""
     for f in (f for f in fields(cfg) if "bound" in f.metadata):
-        low, high = f.metadata["bound"]
+        low, high, closed = f.metadata["bound"]
         val = getattr(cfg, f.name)
         vals = val if isinstance(val, tuple) else (val,)
-        ints = isinstance(low, int)
-        need = f">= {low}" if ints else f"in ({low:g}, {high:g})"
-        if not (vals and all(v >= low if ints else low < v < high
+        need = f">= {low:g}" if closed else f"in ({low:g}, {high:g})"
+        if not (vals and all(low <= v if closed else low < v < high
                              for v in vals)):
             raise ValueError(f"need one or more {f.name} entries, each {need}"
                              if vals is val else f"need {f.name} {need}")
+
+
+def _normal_chunks(rng: np.random.Generator, R: int, M: int):
+    """The cell increments of R unit-horizon paths on M cells, drawn
+    PATH_CHUNK rows at a time just before each is solved: bit for bit the
+    rows of rng.standard_normal((R, M)) / sqrt(M)."""
+    for i in range(0, R, ct.PATH_CHUNK):
+        yield rng.standard_normal((min(ct.PATH_CHUNK, R - i), M)) / np.sqrt(M)
 
 
 def _experiment(name: str, config_cls):
@@ -575,7 +583,7 @@ class SingularityConfig:
     beta_ladder: tuple = _bound(0.0, (0.1, 0.2, 0.4))
     replicas: int = _bound(2, 10_000)
     M: int = _bound(2, 1024)
-    martingale_beta: float = 1.0
+    martingale_beta: float = _bound(0.0, 1.0, closed=True)
     martingale_pairs: int = _bound(2, 300)  # the log ratios' standard error
     martingale_M: int = _bound(2, 2048)
     levels: tuple = _bound(1, (2, 8))
@@ -597,14 +605,17 @@ def experiment_singularity(rep, cfg, seed):
     """
     if cfg.regen_depth < max(cfg.covering_levels):
         raise ValueError("need regen_depth >= the largest covering_levels")
+    if len(cfg.levels) != 2 or cfg.levels[0] >= cfg.levels[1]:
+        raise ValueError("need two levels, low < high")
 
-    # (a) fractional moments over the beta ladder, common random numbers
-    rng = stream(seed, 0)
-    inc = rng.standard_normal((cfg.replicas, cfg.M)) / np.sqrt(cfg.M)
+    # (a) fractional moments over the beta ladder, common random numbers:
+    # each chunk of paths goes through the whole ladder
+    specs = [ct.ChaosSpec(alpha=cfg.alpha, beta_hat=b, M=cfg.M)
+             for b in cfg.beta_ladder]
+    chunks = [[ct.z_point_batch(spec, inc, 0.0, spec.T) for spec in specs]
+              for inc in _normal_chunks(stream(seed, 0), cfg.replicas, cfg.M)]
     frac = []
-    for b in cfg.beta_ladder:
-        spec = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=b, M=cfg.M)
-        z = ct.z_point_batch(spec, inc, 0.0, spec.T)
+    for b, z in zip(cfg.beta_ladder, map(np.concatenate, zip(*chunks))):
         # Z <= 0 enters as 0; z_nonpositive counts those replicas
         zg = np.where(z > 0, z, 0.0) ** cfg.gamma
         # control variate: E[Z] = 1 exactly, and Z^gamma is strongly
@@ -680,8 +691,8 @@ def experiment_singularity(rep, cfg, seed):
 class ZPropertiesConfig:
     alpha: float = 0.75
     beta_hat: float = 1.0
-    scaling_beta: float = 0.7
-    scale_factor: float = 2.0
+    scaling_beta: float = _bound(0.0, 0.7, closed=True)
+    scale_factor: float = _bound(0.0, 2.0)
     M: int = _bound(2, 4096)
     replicas: int = _bound(1, 4000)
     translation_replicas: int = _bound(30, 2000)
@@ -689,7 +700,7 @@ class ZPropertiesConfig:
     residual_replicas: int = _bound(1, 6)
     residual_M: int = _bound(2, 1024)
     residual_grid: int = _bound(1, 64)
-    residual_t1: float = 0.4
+    residual_t1: float = _bound(0.0, 0.4, 1.0)  # T = 1
     ks_threshold: float = _bound(0.0, 0.01, 1.0)
 
 
@@ -748,10 +759,10 @@ def experiment_z_properties(rep, cfg, seed):
     rep.verdicts["renewal_residual_shrinks"] = fine <= 0.7 * coarse
 
     # positivity at the working coupling strength
-    rng_p = stream(seed, 3)
-    inc = rng_p.standard_normal((cfg.replicas, cfg.M)) / np.sqrt(cfg.M)
     spec_p = ct.ChaosSpec(alpha=a, beta_hat=cfg.beta_hat, T=1.0, M=cfg.M)
-    z = ct.z_point_batch(spec_p, inc, 0.0, spec_p.T)
+    z = np.concatenate([ct.z_point_batch(spec_p, inc, 0.0, spec_p.T)
+                        for inc in _normal_chunks(stream(seed, 3),
+                                                  cfg.replicas, cfg.M)])
     fail_rate = float(np.mean(z <= 0))
     rep.tests["positivity"] = {"failure_rate": fail_rate,
                                "min_z": float(z.min())}

@@ -23,15 +23,16 @@ def _not_json(constant):
 
 
 def _too_small():
-    """(experiment, field, value) below each declared config bound: an int
-    at its bound - 1; a tuple empty, and with its first entry at the bound
-    - 1 (at the bound for a float); a float at each end of its interval."""
+    """(experiment, field, value) below each declared config bound: at the
+    bound - 1 for a closed bound, at the bound for an open one; a tuple
+    empty, and with its first entry there; an open float at the upper end
+    of its interval too."""
     for name, (cfg_cls, _) in an.EXPERIMENTS.items():
         for f in dataclasses.fields(cfg_cls):
             if "bound" not in f.metadata:
                 continue
-            low, high = f.metadata["bound"]
-            below = low - 1 if isinstance(low, int) else low
+            low, high, closed = f.metadata["bound"]
+            below = low - 1 if closed else low
             if isinstance(f.default, tuple):
                 values = [([], "[]"), ([below, *f.default[1:]],
                                        f"[{below}, ...]")]
@@ -156,6 +157,22 @@ class TestPlumbing:
         assert re.search(rf"\b{key}\b", err)
         assert not (tmp_path / "experiment.json").exists()
 
+    @pytest.mark.parametrize("levels", [[2], [2, 8, 9], [8, 2], [8, 8]])
+    def test_singularity_levels_are_two_increasing(self, tmp_path, capsys,
+                                                   monkeypatch, levels):
+        def work(*args, **kwargs):
+            raise AssertionError("fractional moments before the check")
+
+        monkeypatch.setattr(an.ct, "z_point_batch", work)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"levels": levels}))
+        code = cli.run(["--config", str(cfg), "--out", str(tmp_path),
+                        "experiment", "singularity"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: need two levels, low < high\n"
+        assert not (tmp_path / "experiment.json").exists()
+
     def test_config_refusal_texts(self, tmp_path, capsys):
         for name, overrides, message in [
                 ("z-properties", {"residual_replicas": 0},
@@ -166,6 +183,10 @@ class TestPlumbing:
                  "need martingale_pairs >= 2"),
                 ("convergence", {"ks_threshold": 1},
                  "need ks_threshold in (0, 1)"),
+                ("singularity", {"martingale_beta": -0.5},
+                 "need martingale_beta >= 0"),
+                ("z-properties", {"residual_t1": 1.0},
+                 "need residual_t1 in (0, 1)"),
                 ("convergence", {"n_ladder": [], "replicas": []},
                  "need one or more n_ladder entries, each >= 2"),
                 ("singularity", {"regen_depth": 13},

@@ -70,6 +70,49 @@ class TestKernel:
             ct.chaos_kernel(spec, 0.0, 1.0, [0.5, 1.0])
 
 
+# cell distances d: every one up to 300, then 300 spread up to 2^16
+CELL_D = np.unique(np.r_[1:301, np.geomspace(301, 2 ** 16, 300).astype(int)])
+
+
+class TestCellFactors:
+    """The exact cell averages against 40-digit mpmath, in cell units."""
+
+    def test_gap_factors_match_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            a, g = mp.mpf(ALPHA), mp.mpf(ALPHA) + 1
+            want = np.array([float(((d + 1) ** g - 2 * d ** g
+                                    + (d - 1) ** g) / (a * g))
+                             for d in map(mp.mpf, CELL_D.tolist())])
+        delta = 2.0 ** -16  # delta^(alpha-1) = 16 exactly
+        kg = ct._gap_factors(ALPHA, delta, 2 ** 16)
+        got = kg[CELL_D] / (C_A * 16.0)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_cell_avg_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            a = mp.mpf(ALPHA)
+            want = np.array([float(((d + 1) ** a - d ** a) / a)
+                             for d in map(mp.mpf, np.r_[0, CELL_D].tolist())])
+        delta = 2.0 ** -16  # the edges i delta are exact; delta^(1-a) = 1/16
+        dist = delta * np.arange(2 ** 16 + 2)
+        cells = np.r_[0, CELL_D]
+        away = ct._cell_avg(ALPHA, dist, delta)[cells]
+        toward = ct._cell_avg(ALPHA, dist[::-1], delta)[::-1][cells]
+        for got in (away, toward):
+            np.testing.assert_allclose(got / 16.0, want, rtol=1e-14, atol=0)
+
+    def test_kernel_cached_read_only(self):
+        kern = ct._kernel(ALPHA, 1.0, 4096)
+        assert ct._kernel(ALPHA, 1.0, 4096) is kern
+        assert 110 <= kern.far.decay.shape[0] <= 180
+        np.testing.assert_array_equal(
+            kern.kg[1:], ct._gap_factors(ALPHA, 1 / 4096, 4096)[1:])
+        for arr in (kern.kg, *kern.far):
+            assert not arr.flags.writeable
+
+
 class TestZPoint:
     def test_no_disorder(self, path):
         sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=0.0, M=1024)

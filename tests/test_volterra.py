@@ -176,3 +176,76 @@ def test_continuum_batch_matches_scalar_off_grid(cells):
         zb = ct.z_point_batch(sp, incs, s, t)
         want = [oracle(sp, inc, s, t) for inc in incs]
         np.testing.assert_allclose(zb, want, rtol=1e-13)
+
+
+def far_field_as(monkeypatch, change):
+    """Make the continuum layer solve on the same exact gap factors with
+    the far field change(far); None solves blocked, and halved above
+    HALVE_ABOVE rows."""
+    kernel = ct._kernel
+    monkeypatch.setattr(ct, "_kernel", lambda *key: kernel(*key)._replace(
+        far=change(kernel(*key).far)))
+
+
+@pytest.mark.parametrize("M", [256, 1024, 4096, 16384])
+@pytest.mark.parametrize("R", [1, 3, 250])
+def test_far_field_matches_blocked(monkeypatch, M, R):
+    # Z(0, 1) and off-grid spans, one per path, each end in its own cell.
+    # A doubled far field moves Z wherever the far field is read; at
+    # M = 256 it does not pay (n <= 2 BLOCK + 4 p) and Z is the blocked one
+    # bit for bit
+    sp = ct.ChaosSpec(alpha=0.75, beta_hat=1.0, h_hat=0.3, M=M)
+    rng = stream(35, M + R)
+    inc = rng.standard_normal((R, M)) / np.sqrt(M)
+    s, t = rng.uniform(0.0, 0.2, R), rng.uniform(0.7, 1.0, R)
+
+    def z():
+        return np.concatenate([ct.z_point_batch(sp, inc, 0.0, 1.0),
+                               ct._z_spans(sp, inc, s, t, np.arange(R))])
+    far = z()
+    far_field_as(monkeypatch, lambda ff: ff._replace(read=2 * ff.read))
+    assert np.array_equal(z(), far) == (M == 256)
+    monkeypatch.undo()
+    far_field_as(monkeypatch, lambda ff: None)
+    blocked = z()
+    np.testing.assert_allclose(far, blocked, rtol=1e-13, atol=0)
+    assert np.array_equal(far, blocked) or M > 256
+
+
+@pytest.mark.parametrize("R", [1, TRI + 1])
+def test_far_field_rescales_with_the_past(R):
+    # weights near 40 rescale the past, and S with it, every few blocks;
+    # compared in logs with the blocked solve of the same kernel
+    n = 1024
+    kern = ct._kernel(0.75, 1.0, n)
+    c = 40.0 + stream(36, R).random((n, R))
+    f = ct._cell_avg(0.75, np.arange(n + 1) / n, 1 / n)
+    logs = []
+    for far in (kern.far, None):
+        x, e = renewal_solve_batch(kern.kg, f, c, far)
+        assert np.all(x > 0) and e[-1].min() > e[n // 2].max() > 0
+        logs.append(np.log(x) + e * np.log(2.0))
+    np.testing.assert_allclose(*logs, rtol=1e-13)
+
+
+@pytest.mark.parametrize("R", [1, 250])
+def test_far_field_peak_memory(R):
+    # beside the caller's c and f: x and int32 e (12 n R bytes); S and the
+    # work arrays of a block, at most 2 p + 3 BLOCK doubles per replica;
+    # four BLOCK x BLOCK matrices (the near panel, the in-block matrix, its
+    # negation and its scaled copy); 16 KiB of small arrays. A copied
+    # BLOCK x n Toeplitz panel (2 MiB) does not fit
+    n = 4096
+    kern = ct._kernel(0.75, 1.0, n)
+    p = len(kern.far.decay)
+    c = stream(37, R).standard_normal((n, R)) / np.sqrt(n)
+    f = ct._cell_avg(0.75, np.arange(n + 1) / n, 1 / n)
+    renewal_solve_batch(kern.kg, f, c, kern.far)
+    tracemalloc.start()
+    try:
+        renewal_solve_batch(kern.kg, f, c, kern.far)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (12 * n * R + 8 * (2 * p + 3 * BLOCK) * R
+                    + 4 * 8 * BLOCK ** 2 + 16 * 1024)
