@@ -158,7 +158,9 @@ def weighted_ks(values, weights, grid_x, grid_F,
     reference CDF on the grid. The null scale is estimated by a replica
     bootstrap centered at the observed ECDF: draws within a replica are
     correlated through the shared disorder, so only whole replicas are
-    resampled, which keeps the two-level structure intact.
+    resampled, which keeps the two-level structure intact. The replicates
+    are one (n_boot x R)(R x grid) product of multiplicities, one
+    rng.integers(0, R, R) draw each, and weighted counts (grid_x increasing).
 
     Returns (statistic, p, effective_sample_size).
     """
@@ -170,13 +172,14 @@ def weighted_ks(values, weights, grid_x, grid_F,
     ehat = _weighted_ecdf_on_grid(values, weights, grid_x)
     stat = float(np.max(np.abs(ehat - grid_F)))
     ess = float(weights.sum() ** 2 / np.sum(weights ** 2))
-    hits = 0
-    for _ in range(n_boot):
-        idx = rng.integers(0, R, R)
-        eb = _weighted_ecdf_on_grid(values[idx], weights[idx], grid_x)
-        if np.max(np.abs(eb - ehat)) >= stat:
-            hits += 1
-    p = (hits + 1) / (n_boot + 1)
+    G = len(grid_x)  # replica counts at or below each grid point, then all m
+    bins = np.searchsorted(grid_x, values) + (G + 1) * np.arange(R)[:, None]
+    wc = np.bincount(bins.ravel(), minlength=R * (G + 1)).reshape(R, G + 1)
+    mult = np.array([np.bincount(rng.integers(0, R, R), minlength=R)
+                     for _ in range(n_boot)]).reshape(n_boot, R)
+    eb = mult @ (np.cumsum(wc, axis=1) * weights[:, None])
+    gap = np.max(np.abs(eb[:, :G] / eb[:, G:] - ehat), axis=1)
+    p = (np.count_nonzero(gap >= stat) + 1) / (n_boot + 1)
     return stat, float(p), ess
 
 

@@ -92,11 +92,14 @@ def _blocks_of(C: ClosedSetR, n: int, T: float):
     """The points of C in [0, T] and the index j of the level-n dyadic block
     [(j-1)T/2^n, jT/2^n] holding each, non-decreasing since the points are
     sorted. A point on a block boundary belongs to the block it closes
-    (left-open blocks except the first, which holds 0)."""
+    (left-open blocks except the first, which holds 0). A block width w that
+    is a power of two (T = 1) has an exact 1/w, so p * (1/w) is p / w."""
     _check_level(C, n, T)
     pts = C.points[np.searchsorted(C.points, 0.0):
                    np.searchsorted(C.points, T, side="right")]
-    j = pts / (T * 2.0 ** (-n))
+    w = T * 2.0 ** (-n)
+    exact = np.frexp(w)[0] == 0.5 and 1.0 / w < np.inf
+    j = pts * (1.0 / w) if exact else pts / w
     np.ceil(j, out=j)
     # j is 0 only on a leading run: the point 0, and any point so close to
     # it that its quotient underflows; those belong to the first block

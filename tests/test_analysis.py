@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
+import loop_reference
 import pinning_lab.analysis as an
 from pinning_lab import continuum as ct
 from pinning_lab import discrete_pinning as dp
@@ -81,6 +82,27 @@ class TestWeightedKs:
                                     n_boot=200)
         assert stat > 0.2
         assert p < 0.02
+
+
+    @pytest.mark.parametrize("R, m, ties", [(37, 1, False), (128, 16, False),
+                                            (201, 3, True), (64, 4, True)])
+    def test_matches_replicate_loop(self, R, m, ties):
+        # the one-product bootstrap against one weighted ECDF per replicate:
+        # (stat, p, ess) equal, and the generator left in the same state;
+        # the values follow the grid's law, so p is not pinned at its floor
+        grid = np.linspace(0.0, 1.0, 97)
+        for seed in range(4):
+            data = stream(seed, 40)
+            vals = data.random((R, m))
+            if ties:
+                vals = np.round(vals * 24) / 24
+            w = data.lognormal(0.0, 1.0, R)
+            got, ref = stream(seed, 41), stream(seed, 41)
+            res = an.weighted_ks(vals, w, grid, grid, got, n_boot=150)
+            assert res == loop_reference.weighted_ks(vals, w, grid, grid, ref,
+                                                     n_boot=150)
+            assert 1 / 151 < res[1] < 1
+            assert got.random(4).tobytes() == ref.random(4).tobytes()
 
 
 class TestDirichlet:

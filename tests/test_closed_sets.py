@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loop_reference
 from pinning_lab import closed_sets as cs
 
 
@@ -131,6 +132,28 @@ class TestBoxCount:
         C = cs.ClosedSetR(np.arange(2 ** 10 + 1) / 2 ** 10, resolution=2.0 ** -10)
         counts = {n: cs.box_count(C, n, 1.0) for n in range(4, 10)}
         assert cs.box_count_slope(counts) == pytest.approx(1.0, abs=0.01)
+
+
+class TestBlockIndex:
+    @pytest.mark.parametrize("T", [1.0, 0.75, 3.0, 4.0])
+    def test_matches_division(self, T):
+        # points exactly on the block edges k w and one ulp either side: the
+        # multiply by 1/w at a power-of-two w is the division bit for bit
+        for n in range(13):
+            on = np.arange(2 ** n + 1) * (T * 2.0 ** -n)
+            pts = np.unique(np.concatenate(
+                [on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)]))
+            C = cs.ClosedSetR(pts, resolution=T * 2.0 ** -12)
+            got_pts, got_j = cs._blocks_of(C, n, T)
+            ref_pts, ref_j = loop_reference.block_index(pts, n, T)
+            assert got_pts.tobytes() == ref_pts.tobytes()
+            assert got_j.tobytes() == ref_j.tobytes()
+            first = np.r_[True, ref_j[1:] != ref_j[:-1]]
+            last = np.r_[ref_j[1:] != ref_j[:-1], True]
+            assert cs.box_count(C, n, T) == np.count_nonzero(first)
+            np.testing.assert_array_equal(
+                cs.dyadic_blocks(C, n, T),
+                np.column_stack([ref_pts[first], ref_pts[last]]))
 
 
 class TestCoveringSum:

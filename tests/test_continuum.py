@@ -7,6 +7,7 @@ from pinning_lab import closed_sets as cs
 from pinning_lab import continuum as ct
 from pinning_lab.rng import stream
 
+import loop_reference
 from chaos_oracle import chaos_oracle as oracle
 
 ALPHA = 0.75
@@ -583,6 +584,19 @@ class TestRegenSampler:
         a = ct.sample_regen_conditioned(ALPHA, 1.0, 10, stream(5, 1))
         b = ct.sample_regen_conditioned(ALPHA, 1.0, 10, stream(5, 1))
         np.testing.assert_array_equal(a.set.points, b.set.points)
+
+    @pytest.mark.parametrize("alpha", [0.55, 0.75, 0.95])
+    @pytest.mark.parametrize("T", [1.0, 3.0])
+    def test_matches_plain_loop(self, alpha, T):
+        # the in-place sampler against the plain form: the same points, bit
+        # for bit, and the generator left in the same state
+        for depth in (0, 1, 10, 18):
+            for seed in range(20):
+                got, ref = stream(seed, depth), stream(seed, depth)
+                pts = ct.sample_regen_conditioned(alpha, T, depth, got)
+                want = loop_reference.regen_points(alpha, T, depth, ref)
+                assert pts.set.points.tobytes() == want.tobytes()
+                assert got.random(4).tobytes() == ref.random(4).tobytes()
 
 
 class TestCdpmFdd:
