@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.special import binom, gamma, roots_jacobi, roots_legendre
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import binom, gamma, roots_legendre
 
 from pinning_lab.closed_sets import ClosedSetR, dyadic_blocks
 from pinning_lab.renewal import stable_constant
@@ -127,23 +128,29 @@ class _Kernel(NamedTuple):
     far: FarField   # lags above BLOCK as an exponential sum
 
 
-@lru_cache(maxsize=8)
-def _kernel(alpha: float, T: float, M: int) -> _Kernel:
-    """The gap factors of M cells on [0, T] with their far field, built once
-    per argument tuple, read-only.
+def _far_nodes(alpha: float, T: float, M: int):
+    """The nodes s and weights w of the far field of M cells on [0, T]:
+    kg[d] = sum_p w_p e^(-s_p d) on the lags BLOCK < d < M.
 
     With beta = 1 - alpha, d^-beta = Gamma(beta)^-1 int s^(beta-1) e^(-s d)
     ds, and the average of e^(-s (x - y)) over a cell pair d cells apart is
     exactly e^(-s d) (sinh(s/2) / (s/2))^2. A 10-node Gauss-Jacobi rule on
     [0, 1/M] with weight s^-alpha, then 10-node Gauss-Legendre rules on the
     dyadic pieces [2^j/M, 2^(j+1)/M] up to 40/(BLOCK + 1), where e^(-s d)
-    is below e^-40 for the lags d > BLOCK, make kg[d] = sum_p w_p e^(-s_p d)
-    on the lags BLOCK < d < M (Jiang, Zhang, Zhang and Zhang, Commun.
-    Comput. Phys. 21, 2017): 100, 130 and 150 nodes at M = 512, 4,096 and
-    16,384, within 1.3e-15 relative of kg at alpha = 0.75 (2e-14 at 0.9,
-    where scipy's Gauss-Jacobi weights lose digits)."""
-    xs, ws = roots_jacobi(10, 0.0, -alpha)
-    s, w = [(1.0 + xs) / (2 * M)], [ws * (2.0 * M) ** (alpha - 1.0)]
+    is below e^-40 for the lags d > BLOCK, make the sum (Jiang, Zhang, Zhang
+    and Zhang, Commun. Comput. Phys. 21, 2017): 100, 130 and 150 nodes at
+    M = 512, 4,096 and 16,384. The Gauss-Jacobi rule comes from the
+    eigenvectors of the Jacobi matrix of P^(0, -alpha) on [-1, 1] (Golub
+    and Welsch, Math. Comp. 23, 1969); on the lags 65..M, M = 256 to
+    65,536, the sum is within 1.6e-15 relative of kg at alpha = 0.55 to
+    0.99. scipy's roots_jacobi missed by 1.9e-14 at alpha = 0.9 and 2.4e-14
+    at 0.99: its weight error sits on the node nearest -1."""
+    a = 2.0 * np.arange(10) - alpha  # 2k + b for P^(0, b), b = -alpha
+    k = np.arange(1.0, 10.0)
+    off = 2.0 * k * (k - alpha) / (a[1:] * np.sqrt(a[1:] ** 2 - 1.0))
+    x, v = eigh_tridiagonal(alpha * alpha / (a * (a + 2.0)), off)
+    s = [(1.0 + x) / (2 * M)]
+    w = [v[0] ** 2 * M ** (alpha - 1.0) / (1.0 - alpha)]
     xs, ws = roots_legendre(10)
     lo = 1.0 / M
     while lo < 40.0 / (BLOCK + 1):
@@ -153,7 +160,15 @@ def _kernel(alpha: float, T: float, M: int) -> _Kernel:
     s, w = np.concatenate(s), np.concatenate(w)
     w *= ((np.sinh(s / 2) / (s / 2)) ** 2 / gamma(1.0 - alpha)
           * stable_constant(alpha) * (T / M) ** (alpha - 1.0))
-    kern = _Kernel(_gap_factors(alpha, T / M, M), far_field(s, w))
+    return s, w
+
+
+@lru_cache(maxsize=8)
+def _kernel(alpha: float, T: float, M: int) -> _Kernel:
+    """The gap factors of M cells on [0, T] with their far field
+    (_far_nodes), built once per argument tuple, read-only."""
+    far = far_field(*_far_nodes(alpha, T, M))
+    kern = _Kernel(_gap_factors(alpha, T / M, M), far)
     for a in (kern.kg, *kern.far):
         a.flags.writeable = False
     return kern

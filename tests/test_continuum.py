@@ -113,6 +113,18 @@ class TestCellFactors:
         for arr in (kern.kg, *kern.far):
             assert not arr.flags.writeable
 
+    @pytest.mark.parametrize("alpha", [0.55, 0.75, 0.9, 0.99])
+    def test_far_field_matches_gap_factors(self, alpha):
+        # the exponential sum on every lag it stands for, 65..M, against the
+        # exact gap factors; M = 4 ** 8 takes the rule to its most nodes
+        for M in 4 ** np.arange(4, 9):
+            s, w = ct._far_nodes(alpha, 1.0, M)
+            kg = ct._gap_factors(alpha, 1.0 / M, M)
+            for lo in range(65, M + 1, 4096):
+                d = np.arange(lo, min(lo + 4096, M + 1))
+                far = np.exp(-np.outer(d, s)) @ w
+                np.testing.assert_allclose(far, kg[d], rtol=3e-15, atol=0)
+
 
 class TestZPoint:
     def test_no_disorder(self, path):
