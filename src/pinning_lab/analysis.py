@@ -333,7 +333,7 @@ class ConvergenceConfig:
     alpha: float = 0.75
     beta_hat: float = 0.5
     h_hat: float = 0.0
-    T: float = 1.0
+    T: float = _bound(0.0, 1.0)
     t1: float = 0.5
     n_ladder: tuple = _bound(2, (512, 1024, 2048))
     replicas: tuple = _bound(30, (3000, 2000, 1500))
@@ -425,6 +425,8 @@ def experiment_convergence(rep, cfg, seed):
         raise ValueError("beta_hat = 0 checks the h = 0 law; need h_hat = 0")
     if len(cfg.n_ladder) != len(cfg.replicas):
         raise ValueError("need one replicas entry per n_ladder rung")
+    if not 0.0 < cfg.t1 < cfg.T:
+        raise ValueError("need 0 < t1 < T")
     n_top = cfg.n_ladder[-1]
     # the matched kernel removes the O(N^(alpha-1)) slowly varying
     # corrections of a generic kernel's renewal function, which otherwise
@@ -520,7 +522,7 @@ class AveragedConfig:
     alpha: float = 0.75
     beta_hat: float = 0.5
     h_hat: float = 0.0
-    T: float = 1.0
+    T: float = _bound(0.0, 1.0)
     t1: float = 0.4
     M: int = _bound(2, 512)
     w_replicas: int = _bound(2, 2000)
@@ -546,6 +548,8 @@ def experiment_averaged_abs_continuity(rep, cfg, seed):
     The report carries the largest renewal-identity residual and the largest
     clipped mass of any one table (CdpmFddSampler's health counters), and
     the residual's disorder-free floor, |sum of the reference masses - 1|."""
+    if not 0.0 < cfg.t1 < cfg.T:
+        raise ValueError("need 0 < t1 < T")
     spec = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=cfg.beta_hat,
                         h_hat=cfg.h_hat, T=cfg.T, M=cfg.M)
     sampler, ze, path, pairs = _cdpm_draws(spec, cfg.t1, cfg.grid,
