@@ -143,8 +143,8 @@ def _far_nodes(alpha: float, T: float, M: int):
     eigenvectors of the Jacobi matrix of P^(0, -alpha) on [-1, 1] (Golub
     and Welsch, Math. Comp. 23, 1969); on the lags 65..M, M = 256 to
     65,536, the sum is within 1.6e-15 relative of kg at alpha = 0.55 to
-    0.99. scipy's roots_jacobi missed by 1.9e-14 at alpha = 0.9 and 2.4e-14
-    at 0.99: its weight error sits on the node nearest -1."""
+    0.99. scipy's roots_jacobi missed by up to 2.0e-14 at alpha = 0.9 and
+    2.5e-14 at 0.99: its weight error sits on the node nearest -1."""
     a = 2.0 * np.arange(10) - alpha  # 2k + b for P^(0, b), b = -alpha
     k = np.arange(1.0, 10.0)
     off = 2.0 * k * (k - alpha) / (a[1:] * np.sqrt(a[1:] ** 2 - 1.0))
