@@ -157,25 +157,6 @@ class TestPlumbing:
         assert re.search(rf"\b{key}\b", err)
         assert not (tmp_path / "experiment.json").exists()
 
-    @pytest.mark.parametrize("name, overrides", [
-        ("convergence", {"t1": 1.5}),
-        ("convergence", {"beta_hat": 0.0, "t1": 1.0}),
-        ("averaged-abs-continuity", {"t1": -0.5})])
-    def test_t1_refused_before_work(self, tmp_path, capsys, monkeypatch,
-                                    name, overrides):
-        def work(*args, **kwargs):
-            raise AssertionError("experiment work before the t1 check")
-
-        monkeypatch.setattr(an, "stream", work)
-        monkeypatch.setattr(an.rn, "matched_power_kernel", work)
-        monkeypatch.setattr(an.ct, "ChaosSpec", work)
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(overrides))
-        code = cli.run(["--config", str(cfg), "--out", str(tmp_path),
-                        "experiment", name])
-        assert code == 1
-        assert capsys.readouterr().err == "error: need 0 < t1 < T\n"
-
     @pytest.mark.parametrize("levels", [[2], [2, 8, 9], [8, 2], [8, 8]])
     def test_singularity_levels_are_two_increasing(self, tmp_path, capsys,
                                                    monkeypatch, levels):
@@ -192,7 +173,14 @@ class TestPlumbing:
         assert err == "error: need two levels, low < high\n"
         assert not (tmp_path / "experiment.json").exists()
 
-    def test_config_refusal_texts(self, tmp_path, capsys):
+    def test_config_refusal_texts(self, tmp_path, capsys, monkeypatch):
+        # each refused before any work, as in the generated test above
+        def work(*args, **kwargs):
+            raise AssertionError("experiment work before the config check")
+
+        monkeypatch.setattr(an, "stream", work)
+        monkeypatch.setattr(an.rn, "matched_power_kernel", work)
+        monkeypatch.setattr(an.ct, "ChaosSpec", work)
         for name, overrides, message in [
                 ("z-properties", {"residual_replicas": 0},
                  "need residual_replicas >= 1"),
@@ -211,10 +199,11 @@ class TestPlumbing:
                 ("singularity", {"regen_depth": 13},
                  "need regen_depth >= the largest covering_levels"),
                 ("convergence", {"t1": 1.5}, "need 0 < t1 < T"),
-                ("convergence", {"beta_hat": 0.0, "t1": 0.0},
+                ("convergence", {"beta_hat": 0.0, "t1": 1.0},
                  "need 0 < t1 < T"),
                 ("averaged-abs-continuity", {"T": 2.0, "t1": 2.0},
                  "need 0 < t1 < T"),
+                ("averaged-abs-continuity", {"t1": -0.5}, "need 0 < t1 < T"),
                 ("convergence", {"T": -1.0}, "need T in (0, inf)")]:
             cfg = tmp_path / "c.json"
             cfg.write_text(json.dumps(overrides))
