@@ -89,12 +89,21 @@ def _check_bounds(cfg) -> None:
                              if vals is val else f"need {f.name} {need}")
 
 
-def _normal_chunks(rng: np.random.Generator, R: int, M: int):
-    """The cell increments of R unit-horizon paths on M cells, drawn
+def _normal_chunks(rng: np.random.Generator, R: int, M: int, T: float):
+    """The cell increments of R paths on M cells of [0, T], drawn
     PATH_CHUNK rows at a time just before each is solved: bit for bit the
-    rows of rng.standard_normal((R, M)) / sqrt(M)."""
+    rows of rng.standard_normal((R, M)) * sqrt(T / M)."""
     for i in range(0, R, ct.PATH_CHUNK):
-        yield rng.standard_normal((min(ct.PATH_CHUNK, R - i), M)) / np.sqrt(M)
+        yield (rng.standard_normal((min(ct.PATH_CHUNK, R - i), M))
+               * np.sqrt(T / M))
+
+
+def _streamed_z(spec: ct.ChaosSpec, rng: np.random.Generator, R: int,
+                s: float, t: float) -> np.ndarray:
+    """Z(s, t) on R fresh paths of spec's grid, drawn by _normal_chunks:
+    z_point_batch of the whole sample, which is never held at once."""
+    return np.concatenate([ct.z_point_batch(spec, inc, s, t) for inc in
+                           _normal_chunks(rng, R, spec.M, spec.T)])
 
 
 def _experiment(name: str, config_cls):
@@ -454,10 +463,8 @@ def experiment_convergence(rep, cfg, seed):
     # continuum target sample
     spec = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=cfg.beta_hat,
                         h_hat=cfg.h_hat, T=cfg.T, M=cfg.continuum_M)
-    rng_c = stream(seed, 1)
-    inc = rng_c.standard_normal((cfg.continuum_replicas, cfg.continuum_M)) \
-        * np.sqrt(cfg.T / cfg.continuum_M)
-    z_cont = ct.z_point_batch(spec, inc, 0.0, spec.T)
+    z_cont = _streamed_z(spec, stream(seed, 1), cfg.continuum_replicas,
+                         0.0, spec.T)
 
     ladder = []
     for i, (N, R) in enumerate(zip(cfg.n_ladder, cfg.replicas)):
@@ -620,7 +627,8 @@ def experiment_singularity(rep, cfg, seed):
     specs = [ct.ChaosSpec(alpha=cfg.alpha, beta_hat=b, M=cfg.M)
              for b in cfg.beta_ladder]
     chunks = [[ct.z_point_batch(spec, inc, 0.0, spec.T) for spec in specs]
-              for inc in _normal_chunks(stream(seed, 0), cfg.replicas, cfg.M)]
+              for inc in _normal_chunks(stream(seed, 0), cfg.replicas, cfg.M,
+                                        specs[0].T)]
     frac = []
     for b, z in zip(cfg.beta_ladder, map(np.concatenate, zip(*chunks))):
         # Z <= 0 enters as 0; z_nonpositive counts those replicas
@@ -726,14 +734,12 @@ def experiment_z_properties(rep, cfg, seed):
     # scaling: distributional check at horizon A vs rescaled couplings
     rng = stream(seed, 0)
     R, M = cfg.translation_replicas, cfg.translation_M
-    inc_long = rng.standard_normal((R, M)) * np.sqrt(A / M)
     spec_long = ct.ChaosSpec(alpha=a, beta_hat=cfg.scaling_beta, T=A, M=M)
-    z_long = ct.z_point_batch(spec_long, inc_long, 0.0, spec_long.T)
-    inc_unit = rng.standard_normal((R, M)) * np.sqrt(1.0 / M)
+    z_long = _streamed_z(spec_long, rng, R, 0.0, spec_long.T)
     spec_unit = ct.ChaosSpec(alpha=a,
                              beta_hat=A ** (a - 0.5) * cfg.scaling_beta,
                              T=1.0, M=M)
-    z_unit = ct.z_point_batch(spec_unit, inc_unit, 0.0, spec_unit.T)
+    z_unit = _streamed_z(spec_unit, rng, R, 0.0, spec_unit.T)
     stat, p = ks_two_sample(z_long, z_unit)
     rep.tests["scaling_ks"] = {"stat": stat, "p": p}
     rep.verdicts["scaling_ks"] = p > cfg.ks_threshold
@@ -741,10 +747,8 @@ def experiment_z_properties(rep, cfg, seed):
     # translation: Z(s, s + l) and Z(0, l) agree in law
     rng_t = stream(seed, 1)
     spec_t = ct.ChaosSpec(alpha=a, beta_hat=cfg.beta_hat, T=1.0, M=M)
-    inc_a = rng_t.standard_normal((R, M)) / np.sqrt(M)
-    inc_b = rng_t.standard_normal((R, M)) / np.sqrt(M)
-    z_shift = ct.z_point_batch(spec_t, inc_a, 0.25, 0.75)
-    z_base = ct.z_point_batch(spec_t, inc_b, 0.0, 0.5)
+    z_shift = _streamed_z(spec_t, rng_t, R, 0.25, 0.75)
+    z_base = _streamed_z(spec_t, rng_t, R, 0.0, 0.5)
     stat, p = ks_two_sample(z_shift, z_base)
     rep.tests["translation_ks"] = {"stat": stat, "p": p}
     rep.verdicts["translation_ks"] = p > cfg.ks_threshold
@@ -767,9 +771,7 @@ def experiment_z_properties(rep, cfg, seed):
 
     # positivity at the working coupling strength
     spec_p = ct.ChaosSpec(alpha=a, beta_hat=cfg.beta_hat, T=1.0, M=cfg.M)
-    z = np.concatenate([ct.z_point_batch(spec_p, inc, 0.0, spec_p.T)
-                        for inc in _normal_chunks(stream(seed, 3),
-                                                  cfg.replicas, cfg.M)])
+    z = _streamed_z(spec_p, stream(seed, 3), cfg.replicas, 0.0, spec_p.T)
     fail_rate = float(np.mean(z <= 0))
     rep.tests["positivity"] = {"failure_rate": fail_rate,
                                "min_z": float(z.min())}

@@ -224,8 +224,8 @@ def _check_grid(spec: ChaosSpec, path: BrownianPath) -> None:
 
 
 # paths per batched solve in the Z profiles and in z_point_batch, and per
-# draw of analysis's streamed environments: the solver holds c, x and e, 20
-# bytes per path and cell
+# draw of analysis's streamed environments: the solver holds c, which x
+# overwrites, and e, 12 bytes per path and cell
 PATH_CHUNK = 250
 
 
@@ -245,7 +245,8 @@ def _forward(spec: ChaosSpec, c: np.ndarray, avg: np.ndarray) -> np.ndarray:
     """Forward coefficients A (L, R) of the chaos recursion for the cell
     weights c (L, R) and avg, the _cell_avg of the same L cells from the
     left end (L rows): one renewal_solve_batch call on the grid's cached
-    gap factors and their far field (_kernel), the forcing C_alpha avg."""
+    gap factors and their far field (_kernel), the forcing C_alpha avg.
+    c, C-ordered, is consumed: A is written over it."""
     kern = _kernel(spec.alpha, spec.T, spec.M)
     x, e = renewal_solve_batch(kern.kg, stable_constant(spec.alpha) * avg, c,
                                kern.far)
@@ -290,11 +291,13 @@ def _profile(spec: ChaosSpec, path: BrownianPath, cells: np.ndarray,
         tavg = _cell_avg(spec.alpha, dist, path.delta)
         scale = dist[1:, None] ** (1.0 - spec.alpha)
         for p in range(0, len(inc), PATH_CHUNK):
-            c = (spec.beta_hat * inc[p:p + PATH_CHUNK, cells]
-                 + spec.h_hat * path.delta).T
+            # the weights (n, P) in C order, a column per path
+            c = np.take(inc[p:p + PATH_CHUNK].T, cells, axis=0)
+            c *= spec.beta_hat
+            c += spec.h_hat * path.delta
             A = _forward(spec, c, tavg)
             # S[m] = sum_{l<=m} A[l] tavg[m-l], dist a multiple of delta
-            S = convolve(A, tavg[:, None])[:len(c)]
+            S = convolve(A, tavg[:, None])[:len(cells)]
             z[p:p + PATH_CHUNK, 1:] += (scale * S).T
     return z.reshape(*path.w.shape[:-1], -1)
 
@@ -721,8 +724,12 @@ def martingale_fn(zeval: ZEvaluator, regen, n: int):
     Singleton blocks, and blocks whose ends snap to the same grid point,
     contribute 1.
     """
-    z0t = _positive_z0T(zeval)
     regens = [regen] if isinstance(regen, RegenSample) else regen
+    paths = zeval.path.w[..., 0].size
+    if len(regens) != paths:
+        raise ValueError(f"need one set per path: {len(regens)} sets for "
+                         f"{paths} paths")
+    z0t = _positive_z0T(zeval)
     blocks = [dyadic_blocks(r.set, n, zeval.spec.T) for r in regens]
     return _span_products(zeval, blocks) / z0t
 

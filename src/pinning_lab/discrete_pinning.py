@@ -105,32 +105,30 @@ def scale_couplings(beta_hat: float, h_hat: float, N: int,
 # partition functions
 
 
-def _transfer(kernel: RenewalKernel, omega: np.ndarray, distribution: str,
-              beta: float, h: float) -> tuple[np.ndarray, ...]:
-    """The weighted renewal recursion over N - 1 sites for R replicas.
+def _site_weights(omega: np.ndarray, distribution: str, beta: float,
+                  h: float) -> np.ndarray:
+    """The weights of the weighted renewal recursion over N - 1 sites for R
+    replicas, the c of renewal_solve_batch.
 
     omega (N-1, R) holds the sites in the order of the recursion. Their
     weights w = exp(beta omega - Lambda(beta) + h) fill one C-ordered (N, R)
     buffer, built in place, whose last row is 1, the weight of the last
-    site. Returns (k, w, x, e) with k = K(0..N), zero past the kernel's
-    table, and x[j-1] 2**e[j-1] = W(j) w_j for j = 1..N, where W(j) = K(j)
-    + sum_{i<j} W(i) w_i K(j-i).
+    site. Solved on the lag kernel and forcing k = K(0..N), the buffer
+    becomes x with x[j-1] 2**e[j-1] = W(j) w_j for j = 1..N, where W(j) =
+    K(j) + sum_{i<j} W(i) w_i K(j-i).
     """
-    N = omega.shape[0] + 1
-    k = kernel.head(N)
-    w = np.empty((N, omega.shape[1]))
+    w = np.empty((omega.shape[0] + 1, omega.shape[1]))
     sites = w[:-1]
     np.multiply(beta, omega, out=sites)
     sites -= lambda_of(distribution, beta)
     sites += h
     with np.errstate(over="ignore"):
         np.exp(sites, out=sites)
-    if np.isinf(sites).any():
+    if not np.isfinite(sites.max(initial=0.0)):
         raise OverflowError(
-            f"site weight not finite at N={N}, beta={beta}, h={h}")
+            f"site weight not finite at N={len(w)}, beta={beta}, h={h}")
     w[-1] = 1.0
-    x, e = renewal_solve_batch(k, k[1:], w)
-    return k, w, x, e
+    return w
 
 
 def partition_dp(kernel: RenewalKernel, rf: RenewalFunction,
@@ -160,7 +158,9 @@ def partition_dp_batch(kernel: RenewalKernel, rf: RenewalFunction,
         raise KernelError("u(N) unavailable or zero")
     if N <= 1:
         return np.ones(R)
-    _, _, x, e = _transfer(kernel, omegas[:, :N - 1].T, distribution, beta, h)
+    k = kernel.head(N)
+    x, e = renewal_solve_batch(
+        k, k[1:], _site_weights(omegas[:, :N - 1].T, distribution, beta, h))
     with np.errstate(over="ignore"):
         z = np.ldexp(x[-1], e[-1]) / rf.u[N]
     if not np.all(np.isfinite(z)):
@@ -377,8 +377,10 @@ def build_pinned_sampler(kernel: RenewalKernel, disorder: DisorderField,
     in reverse order, N-1 down to 1, with a last weight 1 for site 0."""
     if N - 1 > disorder.n_sites:
         raise ValueError("disorder field too short for horizon N")
-    k, w, x, e = _transfer(kernel, disorder.omega[:N - 1][::-1, None],
-                           disorder.distribution, beta, h)
+    w = _site_weights(disorder.omega[:N - 1][::-1, None],
+                      disorder.distribution, beta, h)
+    k = kernel.head(N)
+    x, e = renewal_solve_batch(k, k[1:], w.copy())
     mass = np.concatenate([[1.0], x[:, 0]])
     exp2 = np.concatenate([[0], e[:, 0]])
     # V(i) = mass[N-i] 2**exp2[N-i] / w_i, on row i's scale 2**exp2[N-i-1];

@@ -22,12 +22,14 @@ S <- exp(-s BLOCK) S + (p x BLOCK) x_prev: the fast oblivious convolution
 of Lubich and Schaedle (SIAM J. Sci. Comput. 24, 2002), O(n (BLOCK + p) R)
 in place of O(n^2 R).
 
-Beside the caller's weights c, a blocked solve allocates x and its int32
-power-of-two exponents e: with c, 20 bytes per replica and index. On top
-come np.dot's C-ordered copy of each block's strided Toeplitz panel (up to
-BLOCK x n doubles) and, once some replica rescales, a copy of x's past.
-With a far field there is no such copy: S and the per-block work arrays
-add O((BLOCK + p) R) doubles. Each caller builds c once, in place.
+A solve writes x over the caller's weights c, which it consumes, and
+allocates only x's int32 power-of-two exponents e: with c, 12 bytes per
+replica and index, halved or not. On top come np.dot's C-ordered copy of
+each block's strided Toeplitz panel (up to BLOCK x n doubles) and, once
+some replica rescales, a copy of x's past. With a far field there is no
+such copy: S and the per-block work arrays add O((BLOCK + p) R) doubles.
+Each caller builds c once, in place and in C order, so the blocks read
+rows.
 
 The matched kernel's deconvolution (lag kernel -u) is the least benign
 input: against a long-double term-by-term reference its K is within
@@ -82,17 +84,20 @@ def renewal_solve_batch(k: np.ndarray, f: np.ndarray, c: np.ndarray,
     least n+1 entries shared by all replicas; only k[1..n] is read.
 
     Returns (x, e): the solution is x * 2**e, e an int32 array (np.frexp's
-    exponent type) of the shape of x. With |f| <= 1 and sum |k| <= 1 each
-    index grows the running maximum by at most 2 max(|c|, 1), so a block of
-    b indices grows it by at most exp(b (max log+|c| + 1)), max |c| read as
-    max(max c, -min c) with no |c| copy. The block length keeps that within
-    about exp(600), and after a block whose largest |x| leaves less than
-    that growth below the largest double, the past of that replica and S
-    are scaled down by a power of two. An input that never gets there is
-    solved in blocks of BLOCK with e = 0, unscaled. A signed kernel such as
-    -u in the matched kernel's deconvolution is outside that bound
-    (sum |k| >> 1); that solve stays unscaled because its solution K lies
-    in [0, 1].
+    exponent type) of the shape of x. c is consumed: x is c, each entry
+    written over once its weight is read, so a caller passes a C-ordered
+    float64 buffer it no longer needs (a copy, if it reads the weights
+    later); another c raises ValueError. With |f| <= 1 and sum |k| <= 1
+    each index grows the running maximum by at most 2 max(|c|, 1), so a
+    block of b indices grows it by at most exp(b (max log+|c| + 1)), max
+    |c| read as max(max c, -min c) with no |c| copy. The block length keeps
+    that within about exp(600), and after a block whose largest |x| leaves
+    less than that growth below the largest double, the past of that
+    replica and S are scaled down by a power of two. An input that never
+    gets there is solved in blocks of BLOCK with e = 0, unscaled. A signed
+    kernel such as -u in the matched kernel's deconvolution is outside that
+    bound (sum |k| >> 1); that solve stays unscaled because its solution K
+    lies in [0, 1].
 
     A forcing above that bound starts scaled down. Without a far field and
     above HALVE_ABOVE rows, the first n // 2 are solved first; their share
@@ -113,6 +118,8 @@ def renewal_solve_batch(k: np.ndarray, f: np.ndarray, c: np.ndarray,
     contiguous reversed copy of k[1..min(b, n)].
     """
     n, R = c.shape
+    if c.dtype != np.float64 or not c.flags.c_contiguous:
+        raise ValueError("need weights c as a C-ordered float64 array")
     f = f[:, None] if f.ndim == 1 else f
     if far is None and n > HALVE_ABOVE:
         h = n // 2
@@ -120,8 +127,8 @@ def renewal_solve_batch(k: np.ndarray, f: np.ndarray, c: np.ndarray,
         cur = e1[-1]
         f2 = np.ldexp(f[h:], -cur) + convolve(np.ldexp(x1, e1 - cur),
                                               k[1:n, None])[h - 1:n - 1]
-        x2, e2 = renewal_solve_batch(k, f2, c[h:])
-        return np.concatenate([x1, x2]), np.concatenate([e1, e2 + cur])
+        e2 = renewal_solve_batch(k, f2, c[h:])[1]
+        return c, np.concatenate([e1, e2 + cur])
     step = np.log(max(1.0, float(c.max(initial=0.0)),
                       -float(c.min(initial=0.0)))) + 1.0
     b = min(BLOCK, max(1, int(600 // step)))
@@ -142,7 +149,7 @@ def renewal_solve_batch(k: np.ndarray, f: np.ndarray, c: np.ndarray,
     else:  # k[a:0:-1] as krev[top - a:]: matmul skips BLAS on a negative
         top = min(b, n)  # stride, and k may hold just n + 1 entries
         krev = k[top:0:-1].copy()
-    x = np.empty((n, R))
+    x = c  # each x[j, r] is written over c[j, r] once that is read
     e = np.zeros((n, R), dtype=np.int32)
     # the past on the current scale, x * 2**(e - cur); x itself until a rescale
     fpeak = np.max(np.abs(f), axis=0, initial=0.0)

@@ -167,14 +167,25 @@ def test_criterion_4_reference_law(capsys):
 def test_criterion_5_continuum_moments(capsys):
     t0 = time.perf_counter()
     alpha, T, M, R = 0.75, 1.0, 4096, 10_000
-    inc = stream(105, 0).standard_normal((R, M)) * np.sqrt(T / M)
+    specs = [ct.ChaosSpec(alpha=alpha, beta_hat=beta_hat, T=T, M=M)
+             for beta_hat in (0.25, 0.5)]
+    spec_h = ct.ChaosSpec(alpha=alpha, beta_hat=0.5, h_hat=0.5, T=T, M=M)
+    r = 0.5 / 0.5
+    # the increments drawn PATH_CHUNK rows at a time, bit for bit the rows
+    # of one (R, M) draw, each chunk through the three specs and the tilt
+    rng = stream(105, 0)
+    chunks = []
+    for i in range(0, R, ct.PATH_CHUNK):
+        inc = rng.standard_normal((min(ct.PATH_CHUNK, R - i), M)) \
+            * np.sqrt(T / M)
+        chunks.append([ct.z_point_batch(spec, inc, 0.0, T)
+                       for spec in (*specs, spec_h)]
+                      + [np.exp(r * inc.sum(axis=1) - 0.5 * r * r * T)])
+    *zs, z_h, tilt = map(np.concatenate, zip(*chunks))
     detail = []
     ok = True
-    z_by_beta = {}
-    for beta_hat in (0.25, 0.5):
-        spec = ct.ChaosSpec(alpha=alpha, beta_hat=beta_hat, T=T, M=M)
-        z = ct.z_point_batch(spec, inc, 0.0, T)
-        z_by_beta[beta_hat] = z
+    for spec, z in zip(specs, zs):
+        beta_hat = spec.beta_hat
         se_mean = z.std() / np.sqrt(R)
         mean_ok = abs(z.mean() - 1.0) < 3 * se_mean
         target = ct.z_second_moment_series(alpha, beta_hat, T) - 1.0
@@ -185,11 +196,7 @@ def test_criterion_5_continuum_moments(capsys):
         detail.append(f"b={beta_hat}: mean={z.mean():.4f}, "
                       f"var={z.var():.4f} vs {target:.4f}")
 
-    spec_h = ct.ChaosSpec(alpha=alpha, beta_hat=0.5, h_hat=0.5, T=T, M=M)
-    z_h = ct.z_point_batch(spec_h, inc, 0.0, T)
-    r = 0.5 / 0.5
-    tilt = np.exp(r * inc.sum(axis=1) - 0.5 * r * r * T)
-    diff = z_h - tilt * z_by_beta[0.5]
+    diff = z_h - tilt * zs[1]
     se_diff = diff.std() / np.sqrt(R)
     gir_ok = abs(diff.mean()) < 3 * se_diff
     ok = ok and gir_ok

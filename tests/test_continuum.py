@@ -380,6 +380,20 @@ class TestEnvironments:
             np.testing.assert_allclose(ct.martingale_fn(ze, regens, n), want,
                                        rtol=1e-13)
 
+    @pytest.mark.parametrize("sets", [2, 1, 4])
+    def test_martingale_needs_one_set_per_path(self, monkeypatch, paths,
+                                               sets):
+        # refused before any solve, a lone set counting as one
+        sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, M=256)
+        regens = [ct.sample_regen_conditioned(ALPHA, 1.0, 4, stream(70, r))
+                  for r in range(sets)]
+        ze = ct.ZEvaluator(sp, self.stack(paths[:3]))
+        monkeypatch.setattr(ct, "renewal_solve_batch", None)
+        with pytest.raises(ValueError) as err:
+            ct.martingale_fn(ze, regens[0] if sets == 1 else regens, 2)
+        assert str(err.value) == (
+            f"need one set per path: {sets} sets for 3 paths")
+
     def test_spans_across_paths_match_oracle(self):
         # spans of mixed lengths, each on its own path, in one call
         sp = ct.ChaosSpec(alpha=ALPHA, beta_hat=1.0, h_hat=0.3, M=12)

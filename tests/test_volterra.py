@@ -54,7 +54,7 @@ def test_matches_naive_loop(n, R, seed):
     k[0] = np.nan  # never read
     f = rng.random(n)
     c = rng.random((n, R))
-    x, e = renewal_solve_batch(k, f, c)
+    x, e = renewal_solve_batch(k, f, c.copy())
     assert not e.any()
     np.testing.assert_allclose(x, naive_solve(k, f, c), rtol=1e-12)
 
@@ -71,7 +71,7 @@ def test_halving_matches_naive_loop(monkeypatch, R):
     k[1:] /= k[1:].sum()
     f = rng.random(n)
     c = rng.standard_normal((n, R))
-    x, e = renewal_solve_batch(k, f, c)
+    x, e = renewal_solve_batch(k, f, c.copy())
     want = naive_solve(k, f, c)
     assert not e.any()
     assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
@@ -126,7 +126,8 @@ def test_discrete_batch_matches_scalar_off_block(kernel, rf):
 
 
 def test_discrete_batch_peak_memory(kernel, rf):
-    # one (N, R) weight buffer, x and int32 e: 2.5 N R doubles. np.dot adds
+    # one (N, R) weight buffer, which x overwrites, and int32 e: 1.5 N R
+    # doubles. np.dot adds
     # its C-ordered copy of one block's Toeplitz panel, at most BLOCK x N
     # doubles (a strided Toeplitz view has overlapping rows, which BLAS
     # cannot read); a quarter more covers the rest
@@ -140,7 +141,7 @@ def test_discrete_batch_peak_memory(kernel, rf):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (2.5 + BLOCK / R + 0.25) * N * R * 8
+    assert peak <= (1.5 + BLOCK / R + 0.25) * N * R * 8
     for n in (N, volterra.HALVE_ABOVE + 1):  # blocked, and halved
         k = np.full(n + 1, 0.5 / n)
         assert renewal_solve_batch(k, k[1:], np.ones((n, 2)))[1].dtype == (
@@ -222,7 +223,7 @@ def test_far_field_rescales_with_the_past(R):
     f = ct._cell_avg(0.75, np.arange(n + 1) / n, 1 / n)
     logs = []
     for far in (kern.far, None):
-        x, e = renewal_solve_batch(kern.kg, f, c, far)
+        x, e = renewal_solve_batch(kern.kg, f, c.copy(), far)
         assert np.all(x > 0) and e[-1].min() > e[n // 2].max() > 0
         logs.append(np.log(x) + e * np.log(2.0))
     np.testing.assert_allclose(*logs, rtol=1e-13)
@@ -230,22 +231,43 @@ def test_far_field_rescales_with_the_past(R):
 
 @pytest.mark.parametrize("R", [1, 250])
 def test_far_field_peak_memory(R):
-    # beside the caller's c and f: x and int32 e (12 n R bytes); S and the
-    # work arrays of a block, at most 2 p + 3 BLOCK doubles per replica;
-    # four BLOCK x BLOCK matrices (the near panel, the in-block matrix, its
-    # negation and its scaled copy); 16 KiB of small arrays. A copied
-    # BLOCK x n Toeplitz panel (2 MiB) does not fit
+    # beside the caller's c, which x overwrites, and f: int32 e (4 n R
+    # bytes); S and the work arrays of a block, at most 2 p + 3 BLOCK
+    # doubles per replica; four BLOCK x BLOCK matrices (the near panel, the
+    # in-block matrix, its negation and its scaled copy); 16 KiB of small
+    # arrays. A copied BLOCK x n Toeplitz panel (2 MiB) does not fit
     n = 4096
     kern = ct._kernel(0.75, 1.0, n)
     p = len(kern.far.decay)
     c = stream(37, R).standard_normal((n, R)) / np.sqrt(n)
     f = ct._cell_avg(0.75, np.arange(n + 1) / n, 1 / n)
-    renewal_solve_batch(kern.kg, f, c, kern.far)
+    renewal_solve_batch(kern.kg, f, c.copy(), kern.far)
     tracemalloc.start()
     try:
         renewal_solve_batch(kern.kg, f, c, kern.far)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (12 * n * R + 8 * (2 * p + 3 * BLOCK) * R
+    assert peak <= (4 * n * R + 8 * (2 * p + 3 * BLOCK) * R
                     + 4 * 8 * BLOCK ** 2 + 16 * 1024)
+
+
+@pytest.mark.parametrize("path", ["blocked", "far field", "halved"])
+def test_x_is_written_over_c(monkeypatch, path):
+    # the one (n, R) float buffer of a solve is the caller's c, on each path
+    # and through a rescale; x matches the solve of a copy. The far field
+    # (p = 110 nodes) is read, as n > 2 BLOCK + 4 p
+    n, R = 1024, 3
+    kern = ct._kernel(0.75, 1.0, n)
+    far = kern.far if path == "far field" else None
+    if path == "halved":
+        monkeypatch.setattr(volterra, "HALVE_ABOVE", 2 * BLOCK)
+    f = ct._cell_avg(0.75, np.arange(n + 1) / n, 1 / n)
+    c = 40.0 + stream(38, R).random((n, R))
+    want, e_want = renewal_solve_batch(kern.kg, f, c.copy(), far)
+    x, e = renewal_solve_batch(kern.kg, f, c, far)
+    assert x is c and e[-1].min() > 0
+    np.testing.assert_array_equal(x, want)
+    np.testing.assert_array_equal(e, e_want)
+    with pytest.raises(ValueError, match="C-ordered float64"):
+        renewal_solve_batch(kern.kg, f, np.asfortranarray(want), far)
