@@ -127,10 +127,9 @@ def test_discrete_batch_matches_scalar_off_block(kernel, rf):
 
 def test_discrete_batch_peak_memory(kernel, rf):
     # one (N, R) weight buffer, which x overwrites, and int32 e: 1.5 N R
-    # doubles. np.dot adds
-    # its C-ordered copy of one block's Toeplitz panel, at most BLOCK x N
-    # doubles (a strided Toeplitz view has overlapping rows, which BLAS
-    # cannot read); a quarter more covers the rest
+    # doubles. np.dot adds its C-ordered copy of one block's Toeplitz panel,
+    # at most BLOCK x N doubles (a strided Toeplitz view has overlapping
+    # rows, which BLAS cannot read); a quarter more covers the rest
     N, R = 1024, 64
     omegas = stream(34).standard_normal((R, N - 1))
     args = (kernel, rf, omegas, "standard-normal", 0.05, 0.01, N)
