@@ -495,16 +495,19 @@ def experiment_convergence(rep, cfg, seed):
     rep.verdicts["mean_matches"] = abs(zn_top["mean"] - 1.0) < 3 * se_mean
     rep.verdicts["var_matches"] = abs(zn_top["var"] - var_target) < 3 * se_var
 
-    # measure convergence: averaged (g, d) laws at the largest N
-    rng_f = stream(seed, 20)
+    # measure convergence: averaged (g, d) laws at the largest N, from stream
+    # 2 (disorders, then paths) and 3 (CDPM), clear of the rungs' 10 + i
+    rng_f = stream(seed, 2)
     scale = dp.scale_couplings(cfg.beta_hat, cfg.h_hat, n_top, kernel)
+    dis = dp.sample_disorder(cfg.disorder, (cfg.fdd_replicas, n_top - 1),
+                             rng_f)
+    smps = dp.build_pinned_sampler(kernel, dis, scale.beta_N, scale.h_N,
+                                   n_top)
     g_d, d_d = np.empty((2, cfg.fdd_replicas))
-    rep.estimates.update(pinned_underflows=0, pinned_norm_error=0.0)
-    for i in range(cfg.fdd_replicas):
-        dis = dp.sample_disorder(cfg.disorder, n_top - 1, rng_f)
-        smp = dp.build_pinned_sampler(kernel, dis, scale.beta_N, scale.h_N,
-                                      n_top)
-        rep.estimates["pinned_underflows"] += smp.underflow
+    rep.estimates.update(pinned_underflows=sum(s.underflow for s in smps),
+                         pinned_norm_error=0.0)
+    for i, smp in enumerate(smps):
+        smps[i] = None  # its table and rows go with it after its one path
         tau = smp.sample(rng_f)
         rep.estimates["pinned_norm_error"] = max(
             rep.estimates["pinned_norm_error"], smp.norm_error)
@@ -512,7 +515,8 @@ def experiment_convergence(rep, cfg, seed):
         d_d[i] = cs.d_map(tau, cfg.t1 * n_top) / n_top
     spec_f = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=cfg.beta_hat,
                           h_hat=cfg.h_hat, T=cfg.T, M=512)
-    *_, pairs = _cdpm_draws(spec_f, cfg.t1, 128, cfg.fdd_replicas, 1, rng_f)
+    *_, pairs = _cdpm_draws(spec_f, cfg.t1, 128, cfg.fdd_replicas, 1,
+                            stream(seed, 3))
     g_c, d_c = pairs[:, 0].T
     for name, a, b in (("fdd_g_ks", g_d, g_c), ("fdd_d_ks", d_d, d_c)):
         stat, p = ks_two_sample(a, b)
@@ -583,7 +587,8 @@ def experiment_averaged_abs_continuity(rep, cfg, seed):
     rep.verdicts["ess_reliable"] = ess >= 100
     se_w = w.std() / np.sqrt(len(w))
     rep.estimates["mean_weight"] = float(w.mean())
-    rep.verdicts["mean_weight_one"] = abs(w.mean() - 1.0) < 3 * se_w
+    # <= so that weights all exactly 1 (beta_hat = 0, se_w = 0) pass
+    rep.verdicts["mean_weight_one"] = abs(w.mean() - 1.0) <= 3 * se_w
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +598,7 @@ def experiment_averaged_abs_continuity(rep, cfg, seed):
 @dataclass(frozen=True)
 class SingularityConfig:
     alpha: float = 0.75
-    gamma: float = 0.4
+    gamma: float = _bound(0.0, 0.4, 1.0)  # E[Z^gamma] < 1 needs 0 < gamma < 1
     beta_ladder: tuple = _bound(0.0, (0.1, 0.2, 0.4))
     replicas: int = _bound(2, 10_000)
     M: int = _bound(2, 1024)

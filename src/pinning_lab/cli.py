@@ -108,11 +108,13 @@ def _cmd_sample_pinning(args, seed):
         scale = dp.scale_couplings(args.beta_hat, args.h_hat, args.N, kernel)
         beta, h = scale.beta_N, scale.h_N
     rng = stream(seed, 0)
+    dis = dp.sample_disorder("standard-normal", (args.samples, args.N - 1),
+                             rng)
+    smps = dp.build_pinned_sampler(kernel, dis, beta, h, args.N)
     rows = []
-    for i in range(args.samples):
-        dis = dp.sample_disorder("standard-normal", args.N - 1, rng)
-        tau = dp.build_pinned_sampler(kernel, dis, beta, h, args.N).sample(rng)
-        rows.extend((i, p) for p in tau.points)
+    for i, smp in enumerate(smps):
+        smps[i] = None  # its table and rows go with it after its one path
+        rows.extend((i, p) for p in smp.sample(rng).points)
     return 0, {"beta_N": beta, "h_N": h}, [
         ("pinned_points", ["sample", "site"], rows)]
 

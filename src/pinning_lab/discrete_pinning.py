@@ -220,7 +220,6 @@ def chaos_expansion_exact(kernel: RenewalKernel, rf: RenewalFunction,
 
 ROW_START = 16  # entries in a transition row's first prefix
 ROW_GROWTH = 2  # factor by which a prefix grows when a draw lies past it
-SCALAR_STEPS = 8  # steps that draw a scalar uniform before any block
 
 
 @dataclass(frozen=True)
@@ -251,13 +250,11 @@ class PinnedSampler:
     floating point; such a point is never visited, and if it is 0 itself,
     or its full row holds no mass, sample raises FloatingPointError.
 
-    A path ends as after one scalar rng.random() per step: len(points) - 1
-    of them, or, when a row raises, one per step taken before it. The
-    first SCALAR_STEPS steps draw their uniforms as scalars, and one of
-    them on a row outside the table builds that row whole first, so that
-    any raise comes before its uniform. A longer path then saves the
-    generator state once, draws blocks of 32, 64, ... uniforms, and
-    rewinds the generator to draw just the ones used.
+    A path reads its uniforms in order, one per step, from blocks of
+    min(N, 32), 64, 128, ... drawn as it needs them, never past the N steps
+    a path can take; so it is the path of one scalar rng.random() per step.
+    The rest of its last block goes unused: the next path on the same
+    generator starts after it.
     """
 
     N: int
@@ -334,61 +331,54 @@ class PinnedSampler:
 
     def sample(self, rng: np.random.Generator) -> ClosedSetR:
         N, rows, tab, last = self.N, self.rows, self.table, ROW_START - 1
-        bg, start, us, block = rng.bit_generator, None, [], 32
+        us, block = [], 32
         pts, i, n = [0], 0, 0
-        try:
-            while i < N:
-                b = i * ROW_START
-                if n < SCALAR_STEPS:
-                    if not tab[b + last] > 0:
-                        self._view(i, N - i)
-                    u = rng.random()
-                else:
-                    if n - SCALAR_STEPS == len(us):
-                        if start is None:
-                            start = bg.state
-                        us += rng.random(block).tolist()
-                        block *= 2
-                    u = us[n - SCALAR_STEPS]
-                if u <= tab[b]:
-                    j = 0
-                elif u <= tab[b + 7]:
-                    j = bisect_left(tab, u, b + 1, b + 7) - b
-                elif u <= tab[b + last]:
-                    j = bisect_left(tab, u, b + 8, b + last) - b
-                elif tab[b + last] < u:
-                    j = self._past(i, u)
-                else:
-                    view = rows.get(i) or self._view(i, N - i)
-                    j = bisect_left(view, u, 0, len(view) - 1)
-                i += j + 1
-                n += 1
-                pts.append(i)
-        finally:
-            if start is not None:
-                bg.state = start
-                rng.random(n - SCALAR_STEPS)
+        while i < N:
+            if n == len(us):
+                us += rng.random(min(block, N - n)).tolist()
+                block *= 2
+            u, b = us[n], i * ROW_START
+            if u <= tab[b]:
+                j = 0
+            elif u <= tab[b + 7]:
+                j = bisect_left(tab, u, b + 1, b + 7) - b
+            elif u <= tab[b + last]:
+                j = bisect_left(tab, u, b + 8, b + last) - b
+            elif tab[b + last] < u:
+                j = self._past(i, u)
+            else:
+                view = rows.get(i) or self._view(i, N - i)
+                j = bisect_left(view, u, 0, len(view) - 1)
+            i += j + 1
+            n += 1
+            pts.append(i)
         return ClosedSetR(np.array(pts, dtype=float), resolution=1.0)
 
 
 def build_pinned_sampler(kernel: RenewalKernel, disorder: DisorderField,
-                         beta: float, h: float, N: int) -> PinnedSampler:
+                         beta: float, h: float,
+                         N: int) -> PinnedSampler | list[PinnedSampler]:
     """The backward mass is the forward recursion run on the site weights
-    in reverse order, N-1 down to 1, with a last weight 1 for site 0."""
+    in reverse order, N-1 down to 1, with a last weight 1 for site 0. A
+    disorder of R rows gives the list of its R samplers, from one batched
+    solve; one row of sites gives one sampler."""
     if N - 1 > disorder.n_sites:
         raise ValueError("disorder field too short for horizon N")
-    w = _site_weights(disorder.omega[:N - 1][::-1, None],
-                      disorder.distribution, beta, h)
+    om = np.atleast_2d(disorder.omega)[:, :N - 1]
+    w = _site_weights(om[:, ::-1].T, disorder.distribution, beta, h)
     k = kernel.head(N)
     x, e = renewal_solve_batch(k, k[1:], w.copy())
-    mass = np.concatenate([[1.0], x[:, 0]])
-    exp2 = np.concatenate([[0], e[:, 0]])
+    R = w.shape[1]
+    mass, exp2 = np.c_[np.ones(R), x.T], np.c_[np.zeros(R, np.int64), e.T]
     # V(i) = mass[N-i] 2**exp2[N-i] / w_i, on row i's scale 2**exp2[N-i-1];
     # w[::-1] holds w_0 = 1, w_1, ..., w_{N-1}
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.ldexp(w[::-1, 0] / mass[:0:-1], exp2[-2::-1] - exp2[:0:-1])
-    return PinnedSampler(N=N, k=k, mass=mass, exp2=exp2, inv=inv,
-                         underflow=bool(np.any(mass[1:] == 0)))
+        inv = np.ldexp(w[::-1].T / mass[:, :0:-1],
+                       exp2[:, -2::-1] - exp2[:, :0:-1])
+    out = [PinnedSampler(N=N, k=k, mass=m, exp2=x2, inv=v,
+                         underflow=bool(np.any(m[1:] == 0)))
+           for m, x2, v in zip(mass, exp2, inv)]
+    return out if disorder.omega.ndim == 2 else out[0]
 
 
 def enumerate_pinned_exact(kernel: RenewalKernel, disorder: DisorderField,

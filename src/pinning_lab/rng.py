@@ -1,10 +1,11 @@
 """Counter-based, splittable random number streams.
 
 Every sampler in the package takes an owned ``numpy.random.Generator``.
-Streams are derived from a master seed and an integer stream id through
-``SeedSequence`` spawn keys on top of the Philox counter-based generator, so
-replicas can run in any order (or in parallel) and still reproduce bit for
-bit.
+Streams come from a master seed and an integer stream id through
+``SeedSequence`` spawn keys on the Philox counter-based generator. Stages
+with ids of their own reproduce bit for bit in any order (or in parallel);
+the replicas of a stage share its stream and reproduce only in turn, so a
+change in how much one replica draws moves the draws of every later one.
 """
 
 from __future__ import annotations

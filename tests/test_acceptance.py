@@ -5,11 +5,13 @@ under output capture) and asserts both the verdict and its wall-clock
 budget. Statistical criteria use fixed seeds so reruns are deterministic.
 """
 
+import json
 import time
 
 import numpy as np
 import pytest
 
+import payload_sums
 import pinning_lab.analysis as an
 import pinning_lab.closed_sets as cs
 import pinning_lab.continuum as ct
@@ -251,27 +253,23 @@ def test_criterion_8_singularity(capsys):
              time.perf_counter() - t0, 1800.0, detail)
 
 
-def test_criterion_9_reproducibility(capsys):
-    t0 = time.perf_counter()
-    small = {
-        "z-properties": an.ZPropertiesConfig(
-            M=256, replicas=200, translation_replicas=150,
-            translation_M=128, residual_replicas=2, residual_M=128,
-            residual_grid=16),
-        "convergence": an.ConvergenceConfig(
-            n_ladder=(64, 128), replicas=(200, 150),
-            continuum_replicas=200, continuum_M=128, fdd_replicas=35),
-        "averaged-abs-continuity": an.AveragedConfig(
-            M=128, w_replicas=120, draws=4, grid=64, n_boot=30),
-        "singularity": an.SingularityConfig(
-            replicas=300, M=128, martingale_pairs=3, martingale_M=128,
-            covering_draws=30, covering_levels=(5, 6), regen_depth=9),
-    }
-    ok = True
-    for name, cfg in small.items():
-        _, fn = an.EXPERIMENTS[name]
-        a = fn(cfg, seed=109).to_json(include_wall_clock=False)
-        b = fn(cfg, seed=109).to_json(include_wall_clock=False)
-        ok = ok and (a == b)
-    _verdict(capsys, 9, "reproducibility", ok, time.perf_counter() - t0,
-             120.0, "byte-identical reruns of all experiment payloads")
+def test_criterion_9_reproducibility(capsys, criterion_9_runs):
+    (a, b), elapsed = criterion_9_runs
+    _verdict(capsys, 9, "reproducibility", a == b, elapsed, 120.0,
+             "byte-identical reruns of all experiment payloads")
+
+
+def test_payload_sums(criterion_9_runs):
+    # criterion 9's payloads against the sums committed with their build:
+    # a one-ulp change to any report value moves a sum
+    (a, _), _ = criterion_9_runs
+    want = json.loads(payload_sums.SUMS.read_text())
+    got = payload_sums.record(a)
+    diff = [f"{part} {key}: recorded {want[part].get(key)}, "
+            f"here {got[part].get(key)}"
+            for part in ("build", "sha256")
+            for key in sorted(want[part].keys() | got[part].keys())
+            if want[part].get(key) != got[part].get(key)]
+    assert not diff, "; ".join(diff) + (
+        ". If the change is meant, regenerate the sums: "
+        "PYTHONPATH=src python tests/payload_sums.py")

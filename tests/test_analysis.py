@@ -10,8 +10,6 @@ from scipy.special import gamma
 import loop_reference
 import pinning_lab.analysis as an
 from pinning_lab import continuum as ct
-from pinning_lab import discrete_pinning as dp
-from pinning_lab import renewal as rn
 from pinning_lab.rng import stream
 
 
@@ -261,6 +259,15 @@ class TestExperimentsSmall:
         assert est["max_table_residual"] == pytest.approx(
             est["table_residual_floor"], rel=0, abs=1e-14)
 
+    def test_mean_weight_one_without_disorder(self):
+        # at beta_hat = 0 every weight is exactly 1, so its standard error
+        # is 0 and the mean meets the gate as a tie
+        cfg = an.AveragedConfig(beta_hat=0.0, M=128, w_replicas=20, draws=2,
+                                grid=64, n_boot=10)
+        rep = an.experiment_averaged_abs_continuity(cfg, seed=4)
+        assert rep.estimates["mean_weight"] == 1.0
+        assert rep.verdicts["mean_weight_one"]
+
     def test_byte_identical_rerun(self):
         cfg_cls, fn = an.EXPERIMENTS["averaged-abs-continuity"]
         cfg = SMALL["averaged-abs-continuity"]
@@ -378,14 +385,23 @@ class TestStreamOrder:
                                    fdd_replicas=35)
         got = self.batched_draws(
             monkeypatch, lambda: an.experiment_convergence(cfg, 109))
-        # the pinned draws come first in the stream
-        rng = stream(109, 20)
-        kernel = rn.matched_power_kernel(cfg.alpha, 128)
-        scale = dp.scale_couplings(cfg.beta_hat, cfg.h_hat, 128, kernel)
-        for _ in range(cfg.fdd_replicas):
-            dis = dp.sample_disorder(cfg.disorder, 127, rng)
-            dp.build_pinned_sampler(kernel, dis, scale.beta_N, scale.h_N,
-                                    128).sample(rng)
+        # the CDPM environments have their stream to themselves
         spec = ct.ChaosSpec(alpha=cfg.alpha, beta_hat=cfg.beta_hat, M=512)
         np.testing.assert_array_equal(got, self.per_path(
-            spec, cfg.t1, 128, cfg.fdd_replicas, 1, rng))
+            spec, cfg.t1, 128, cfg.fdd_replicas, 1, stream(109, 3)))
+
+    def test_convergence_stream_ids_are_distinct(self, monkeypatch):
+        # rung i draws from 10 + i, so 12 rungs reach 21: the fdd stage's
+        # ids 2 and 3 stay clear of every rung
+        ids = []
+
+        def record(seed, stream_id=0):
+            ids.append(stream_id)
+            return stream(seed, stream_id)
+
+        monkeypatch.setattr(an, "stream", record)
+        cfg = an.ConvergenceConfig(
+            n_ladder=tuple(range(16, 28)), replicas=(30,) * 12,
+            continuum_replicas=30, continuum_M=64, fdd_replicas=30)
+        an.experiment_convergence(cfg, 5)
+        assert sorted(ids) == [1, 2, 3, *range(10, 22)]

@@ -194,6 +194,7 @@ class TestPlumbing:
                  "need martingale_beta >= 0"),
                 ("z-properties", {"residual_t1": 1.0},
                  "need residual_t1 in (0, 1)"),
+                ("singularity", {"gamma": 1.5}, "need gamma in (0, 1)"),
                 ("convergence", {"n_ladder": [], "replicas": []},
                  "need one or more n_ladder entries, each >= 2"),
                 ("singularity", {"regen_depth": 13},
